@@ -26,9 +26,16 @@ from .inertia import (
     trivial_model,
     validate_identity,
 )
-from .lattice import LatticeError, MukaiVector, PicardLattice, check_hypotheses
+from .lattice import LatticeError, MukaiVector, PicardLattice, check_hypotheses, hypotheses_at_degree
 from .polyring import format_poly
-from .toystacks import GroupRingElement, parseval_check, wps_euler_class_tangent, wps_relation_element
+from .toystacks import (
+    GroupRingElement,
+    ToyStackError,
+    bg_moduli_count,
+    parseval_check,
+    wps_euler_class_tangent,
+    wps_relation_element,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,6 +132,8 @@ def cmd_verify_identity(args) -> int:
 
 
 def cmd_parseval(args) -> int:
+    if args.n < 1 or args.trials < 0:
+        raise UsageError("need --n >= 1 and --trials >= 0")
     rng = random.Random(args.seed)
     n = args.n
     failures = 0
@@ -164,8 +173,6 @@ def cmd_wps_euler(args) -> int:
 
 
 def cmd_bg_count(args) -> int:
-    from .toystacks import bg_moduli_count
-
     count = bg_moduli_count(args.n, args.degree)
     _emit(
         args,
@@ -181,39 +188,15 @@ def cmd_check_hypotheses(args) -> int:
         gram = json.loads(args.gram)
         ample = tuple(int(x) for x in args.ample.split(",")) if args.ample else (1,) * len(gram)
         lattice = PicardLattice(gram, ample)
+        v = MukaiVector(args.r, c1 if c1 else lattice.zero_class(), args.s)
+        report = check_hypotheses(lattice, v, generic=args.generic)
     else:
-        # degree supplied directly: encode it in a rank-1 lattice stand-in
+        # degree supplied directly: c1 is unknown, so primitivity is that of (r, s)
         if args.d is None:
             raise UsageError("give either --gram/--ample/--c1 or --d")
         if c1:
             raise UsageError("--c1 requires --gram")
-        lattice = PicardLattice([[2]], [1])
-        c1 = (0,)
-    v = MukaiVector(args.r, c1 if c1 else lattice.zero_class(), args.s)
-    report = check_hypotheses(lattice, v, generic=args.generic)
-    if args.d is not None and not args.gram:
-        # override the degree in the report with the user's value
-        from dataclasses import replace
-
-        d = args.d
-        from math import gcd
-
-        report = replace(
-            report,
-            degree=d,
-            positive_degree=d > 0,
-            gcd_r_d_is_one=gcd(v.r, d) == 1,
-            gcd_r_d_s_is_one=gcd(gcd(v.r, d), v.s) == 1,
-        )
-        report = replace(
-            report,
-            main_theorem_hypotheses=report.positive_rank
-            and report.primitive
-            and args.generic
-            and (d > 0 or report.gcd_r_d_is_one),
-            smoothness_hypotheses=report.gcd_r_d_s_is_one
-            or (report.primitive and args.generic),
-        )
+        report = hypotheses_at_degree(MukaiVector(args.r, (), args.s), args.d, args.generic)
     payload = report.to_json()
     lines = [f"{key} = {value}" for key, value in payload.items()]
     _emit(args, payload, "\n".join(lines))
@@ -299,7 +282,7 @@ def main(argv=None) -> int:
     except IdentityError as exc:
         print(f"model integrity failure: {exc} (residual {exc.value - 1})", file=sys.stderr)
         return EXIT_MODEL
-    except (ModelError, LatticeError, HilbertError) as exc:
+    except (ModelError, LatticeError, HilbertError, ToyStackError) as exc:
         # out-of-range presets and malformed descriptors are usage errors;
         # HilbertError cross-check failures are internal
         if isinstance(exc, HilbertError) and "mismatch" in str(exc):

@@ -3,7 +3,8 @@
 Elements are canonical residues in Q[x]/Phi_L(x), where Phi_L is the L-th
 cyclotomic polynomial, so equality is coefficient-wise and every operation
 is exact.  Phi_L is obtained by dividing x^L - 1 by Phi_d over the proper
-divisors d of L.
+divisors d of L.  Embedding and conjugation substitute a power of x and
+reduce: because x^L = 1 mod Phi_L, both are one `poly_fold`.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from .polyring import (
     Coeffs,
+    format_poly,
     monomial,
     poly,
     poly_add,
+    poly_divmod,
+    poly_fold,
     poly_mod,
     poly_mul,
     poly_neg,
@@ -27,31 +31,22 @@ from .polyring import (
 )
 
 
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Coeffs:
     """Phi_n as an exact coefficient tuple."""
     if n < 1:
         raise ValueError("n must be positive")
     num = poly([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in divisors(n):
-        if d < n:
-            from .polyring import poly_divmod
-
+    for d in range(1, n):
+        if n % d == 0:
             num, rem = poly_divmod(num, cyclotomic_polynomial(d))
             assert not rem
     return num
+
+
+def euler_phi(n: int) -> int:
+    """phi(n) = deg Phi_n."""
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -115,17 +110,11 @@ class Cyclotomic:
             return self
         if L % self.L != 0:
             raise AmbientFieldError(f"cannot embed Q(zeta_{self.L}) into Q(zeta_{L})")
-        step = L // self.L
-        powers = _zeta_powers(L)
-        acc: Coeffs = ()
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                acc = poly_add(acc, poly_scale(powers[(k * step) % L], c))
-        return Cyclotomic(L, acc)
+        return Cyclotomic(L, poly_fold(self.coeffs, L // self.L, L))
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
+            return self, Cyclotomic(self.L, (other,))
         if not isinstance(other, Cyclotomic):
             raise TypeError(f"cannot combine Cyclotomic with {type(other).__name__}")
         L = lcm(self.L, other.L)
@@ -135,7 +124,7 @@ class Cyclotomic:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return Cyclotomic(a.L, poly_add(poly(a.coeffs), poly(b.coeffs)))
+        return Cyclotomic(a.L, poly_add(a.coeffs, b.coeffs))
 
     __radd__ = __add__
 
@@ -144,14 +133,14 @@ class Cyclotomic:
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return Cyclotomic(a.L, poly_sub(poly(a.coeffs), poly(b.coeffs)))
+        return Cyclotomic(a.L, poly_sub(a.coeffs, b.coeffs))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        prod = poly_mod(poly_mul(poly(a.coeffs), poly(b.coeffs)), cyclotomic_polynomial(a.L))
+        prod = poly_mod(poly_mul(a.coeffs, b.coeffs), cyclotomic_polynomial(a.L))
         return Cyclotomic(a.L, prod)
 
     __rmul__ = __mul__
@@ -186,12 +175,7 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^{-1}."""
-        powers = _zeta_powers(self.L)
-        acc: Coeffs = ()
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                acc = poly_add(acc, poly_scale(powers[(-k) % self.L], c))
-        return Cyclotomic(self.L, acc)
+        return Cyclotomic(self.L, poly_fold(self.coeffs, -1, self.L))
 
     def real_part(self) -> "Cyclotomic":
         return (self + self.conjugate()) * Fraction(1, 2)
@@ -227,10 +211,6 @@ class Cyclotomic:
         return format_cyclotomic(self)
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def root_of_unity(order: int, exponent: int = 1, L: int | None = None) -> Cyclotomic:
     """zeta_order^exponent in the ambient field Q(zeta_L).
 
@@ -246,6 +226,11 @@ def root_of_unity(order: int, exponent: int = 1, L: int | None = None) -> Cyclot
     return Cyclotomic(L, _zeta_powers(L)[k % L])
 
 
+def inverse_one_minus_re(lam: Cyclotomic) -> Cyclotomic:
+    """1/(1 - Re lambda) for a root of unity lambda != 1: the core of every sector weight."""
+    return (Cyclotomic.one(lam.L) - lam.real_part()).inverse()
+
+
 def sum_inverse_one_minus_cos(n: int) -> Fraction:
     """Exact value of sum_{k=1}^{n-1} 1/(1 - cos(2 pi k / n)).
 
@@ -255,8 +240,7 @@ def sum_inverse_one_minus_cos(n: int) -> Fraction:
         raise ValueError("n must be at least 2")
     total = Cyclotomic.zero(n)
     for k in range(1, n):
-        term = Cyclotomic.one(n) - root_of_unity(n, k).real_part()
-        total = total + term.inverse()
+        total = total + inverse_one_minus_re(root_of_unity(n, k))
     return total.as_rational()
 
 
@@ -265,18 +249,7 @@ _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
 
 def format_cyclotomic(a: Cyclotomic) -> str:
     """`c[L]: a0 + a1*z + ...`, nonzero terms only, exact rationals."""
-    terms = []
-    for k, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        elif k == 1:
-            terms.append(f"{c}*z")
-        else:
-            terms.append(f"{c}*z^{k}")
-    body = " + ".join(terms) if terms else "0"
-    return f"c[{a.L}]: {body}"
+    return f"c[{a.L}]: {format_poly(a.coeffs, 'z')}"
 
 
 def parse_cyclotomic(text: str) -> Cyclotomic:
@@ -286,6 +259,8 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
     if m is None:
         return Cyclotomic.from_rational(Fraction(text))
     L = int(m.group(1))
+    if L < 1:
+        raise ValueError("field order must be positive")
     body = m.group(2).strip()
     deg = euler_phi(L)
     coeffs = [Fraction(0)] * deg

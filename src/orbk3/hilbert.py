@@ -8,18 +8,12 @@ formula d = 2n + sum_i D_i^t M_i D_i over negative Cartan matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cache
 from math import isqrt
 
-from .hrr import EquivariantClass, OrbifoldMukaiVector, euler_pairing
+from .hrr import EquivariantClass, OrbifoldMukaiVector, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
 from .lattice import MukaiVector
-
-# Twisted entries of the numerical class of Hilb(n, m) under mu_2 read
-# 1 + TWIST_SIGN * 4 * m_i.  The displayed closed form uses +; deriving the
-# class by subtracting basis vectors gives -.  Only + is consistent with the
-# quadratic dimension formula, so + is the default.
-TWIST_SIGN = 1
 
 
 class HilbertError(ValueError):
@@ -45,12 +39,16 @@ def length_mu2(c: HilbClassMu2) -> int:
 
 
 def omv_of_class_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> OrbifoldMukaiVector:
-    """v~(n, m) = (1, 0, 1 - l, 1 + 4 m_1, ..., 1 + 4 m_8)."""
+    """v~(n, m) = (1, 0, 1 - l, 1 + 4 m_1, ..., 1 + 4 m_8).
+
+    Only + (not the 1 - 4 m_i that subtracting basis vectors suggests) fits
+    the quadratic dimension formula.
+    """
     model = model or mu2_model()
     ell = length_mu2(c)
     return OrbifoldMukaiVector(
         MukaiVector(1, model.lattice.zero_class(), 1 - ell),
-        tuple(1 + TWIST_SIGN * 4 * mi for mi in c.m),
+        tuple(1 + 4 * mi for mi in c.m),
     )
 
 
@@ -59,8 +57,6 @@ def dim_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> int:
     model = model or mu2_model()
     direct = 2 * (c.n - sum(mi * mi for mi in c.m))
     omv = omv_of_class_mu2(c, model)
-    from .hrr import orbifold_mukai_pairing
-
     via_pairing = 2 - orbifold_mukai_pairing(model, omv, omv)
     if via_pairing != direct:
         raise HilbertError(
@@ -69,13 +65,9 @@ def dim_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> int:
     return direct
 
 
-_MU2_MODEL: list[K3GModel] = []
-
-
+@cache
 def mu2_model() -> K3GModel:
-    if not _MU2_MODEL:
-        _MU2_MODEL.append(preset_cyclic(2))
-    return _MU2_MODEL[0]
+    return preset_cyclic(2)
 
 
 def equivariant_class_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> EquivariantClass:

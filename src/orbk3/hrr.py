@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic
 from .inertia import K3GModel
@@ -85,17 +84,12 @@ def orbifold_mukai_pairing(
 ) -> Fraction:
     if len(v.twisted) != len(model.sectors) or len(w.twisted) != len(model.sectors):
         raise SectorMismatchError("orbifold Mukai vectors do not match the model")
-    ambient = model.ambient_order()
-    for entry in (*v.twisted, *w.twisted):
-        ambient = lcm(ambient, entry.L)
     total = Cyclotomic.from_rational(
         Fraction(mukai_pairing(model.lattice, v.global_part, w.global_part), model.group.order)
     )
     half = Fraction(1, 2)
-    for s, vij, wij in zip(model.sectors, v.twisted, w.twisted):
-        denom = Cyclotomic.one(ambient) - s.eigenvalue(ambient).real_part()
-        term = vij.conjugate() * wij * denom.inverse()
-        total = total + term * Fraction(s.multiplicity, s.stabilizer_order) * half
+    for weight, vij, wij in zip(model.sector_weights(), v.twisted, w.twisted):
+        total = total + vij.conjugate() * wij * weight * half
     return total.as_rational()
 
 

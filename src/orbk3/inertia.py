@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, inverse_one_minus_re, root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
 from .lattice import PicardLattice
 
@@ -123,6 +123,18 @@ class K3GModel:
         orders = [s.eig_order for s in self.sectors]
         return lcm(*orders) if orders else 1
 
+    def sector_weights(self) -> tuple[Cyclotomic, ...]:
+        """mult / (|G_ij| (1 - Re lambda_ij)) per sector, in Q(zeta_ambient).
+
+        The unit identity and the orbifold pairing both sum over these.
+        """
+        ambient = self.ambient_order()
+        return tuple(
+            inverse_one_minus_re(s.eigenvalue(ambient))
+            * Fraction(s.multiplicity, s.stabilizer_order)
+            for s in self.sectors
+        )
+
     def to_json(self) -> dict:
         return {
             "group": self.group.to_json(),
@@ -216,13 +228,10 @@ def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
 
 def validate_identity(model: K3GModel) -> Fraction:
     """Exact value of 1/|G| + (1/4) sum 1/(|G_ij| (1 - Re lambda_ij))."""
-    ambient = model.ambient_order()
     total = Cyclotomic.from_rational(Fraction(1, model.group.order))
     quarter = Fraction(1, 4)
-    for s in model.sectors:
-        lam = s.eigenvalue(ambient)
-        denom = Cyclotomic.one(ambient) - lam.real_part()
-        total = total + denom.inverse() * Fraction(s.multiplicity, s.stabilizer_order) * quarter
+    for weight in model.sector_weights():
+        total = total + weight * quarter
     return total.as_rational()
 
 
@@ -239,7 +248,7 @@ def solve_fixed_points_cyclic(n: int) -> int:
     unknown_weight = Cyclotomic.zero(n)
     for k in range(1, n):
         order_k = n // gcd(n, k)
-        weight = (Cyclotomic.one(n) - root_of_unity(n, k).real_part()).inverse()
+        weight = inverse_one_minus_re(root_of_unity(n, k))
         if order_k == n:
             unknown_weight = unknown_weight + weight
         else:

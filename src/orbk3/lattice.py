@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .polyring import Coeffs, poly, poly_eval, poly_scale
+from .polyring import Coeffs, poly, poly_eval, poly_scale, poly_sub
 
 INFINITE_SLOPE = "infinity"
 
@@ -180,8 +180,6 @@ def degree_and_slope(lattice: PicardLattice, v: MukaiVector):
 
 def poly_leq_eventually(p: Coeffs, q: Coeffs) -> bool:
     """p(z) <= q(z) for z >> 0: sign of the top coefficient of q - p."""
-    from .polyring import poly_sub
-
     diff = poly_sub(q, p)
     return not diff or diff[-1] > 0
 
@@ -220,9 +218,16 @@ def check_hypotheses(
     """Evaluate the numerical hypotheses for v against the fixed polarization.
 
     Genericity of the polarization is an input flag: wall avoidance is an
-    assumption, never computed here.  gcd follows gcd(a, 0) = |a|.
+    assumption, never computed here.
     """
-    d = lattice.degree(v.c1)
+    return hypotheses_at_degree(v, lattice.degree(v.c1), generic)
+
+
+def hypotheses_at_degree(v: MukaiVector, d: int, generic: bool) -> HypothesisReport:
+    """The hypothesis predicates for v when its degree (c1 . h) is d.
+
+    gcd follows gcd(a, 0) = |a|.
+    """
     primitive = v.is_primitive()
     positive_rank = v.r > 0
     gcd_rd = gcd(v.r, d) == 1

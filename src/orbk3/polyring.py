@@ -45,13 +45,27 @@ def poly_sub(p: Coeffs, q: Coeffs) -> Coeffs:
 def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ()
+    # zero terms are skipped on both sides, so padded and scalar operands are cheap
+    q_terms = [(j, b) for j, b in enumerate(q) if b != 0]
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
-        for j, b in enumerate(q):
+        for j, b in q_terms:
             out[i + j] += a * b
     return poly(out)
+
+
+def poly_fold(p: Sequence[Fraction], e: int, n: int) -> Coeffs:
+    """Coefficients of p(x^e) mod x^n - 1, all n of them (trailing zeros kept).
+
+    Any integer e works, negative ones included: x^n = 1 makes x^e = x^(e mod n).
+    """
+    out = [Fraction(0)] * n
+    for k, c in enumerate(p):
+        if c:
+            out[k * e % n] += c
+    return tuple(out)
 
 
 def poly_scale(p: Coeffs, c) -> Coeffs:

@@ -14,7 +14,7 @@ from math import comb
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
-from .polyring import QuotientRing, QuotientRingElement, poly, poly_mul
+from .polyring import QuotientRing, QuotientRingElement, poly, poly_fold, poly_mul
 
 
 class ToyStackError(ValueError):
@@ -48,11 +48,7 @@ class GroupRingElement:
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         if self.n != other.n:
             raise ToyStackError("ring rank mismatch")
-        out = [Fraction(0)] * self.n
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[(i + j) % self.n] += a * b
-        return GroupRingElement(self.n, tuple(out))
+        return GroupRingElement(self.n, poly_fold(poly_mul(self.coeffs, other.coeffs), 1, self.n))
 
 
 def dft_inverse(f: GroupRingElement) -> tuple[Cyclotomic, ...]:

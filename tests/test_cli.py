@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: outputs, JSON mode, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbk3
 from orbk3.cli import main
 from orbk3.inertia import SectorEntry, preset_cyclic, K3GModel
 
@@ -166,6 +171,38 @@ def test_check_hypotheses_cli(capsys):
     assert data["degree"] == 16
     assert data["main_theorem_hypotheses"] is True
 
+    # --d without a lattice at nonzero degree, with and without --generic
+    for d, generic, expected in (
+        ("3", False, {
+            "degree": 3, "gcd_r_d_is_one": True, "gcd_r_d_s_is_one": True,
+            "generic_polarization": False, "main_theorem_hypotheses": False,
+            "positive_degree": True, "positive_rank": True, "primitive": True,
+            "smoothness_hypotheses": True,
+        }),
+        ("3", True, {
+            "degree": 3, "gcd_r_d_is_one": True, "gcd_r_d_s_is_one": True,
+            "generic_polarization": True, "main_theorem_hypotheses": True,
+            "positive_degree": True, "positive_rank": True, "primitive": True,
+            "smoothness_hypotheses": True,
+        }),
+        ("-2", False, {
+            "degree": -2, "gcd_r_d_is_one": False, "gcd_r_d_s_is_one": True,
+            "generic_polarization": False, "main_theorem_hypotheses": False,
+            "positive_degree": False, "positive_rank": True, "primitive": True,
+            "smoothness_hypotheses": True,
+        }),
+        ("-2", True, {
+            "degree": -2, "gcd_r_d_is_one": False, "gcd_r_d_s_is_one": True,
+            "generic_polarization": True, "main_theorem_hypotheses": False,
+            "positive_degree": False, "positive_rank": True, "primitive": True,
+            "smoothness_hypotheses": True,
+        }),
+    ):
+        argv = ["check-hypotheses", "--r", "2", "--s", "1", "--d", d, "--json"]
+        code, out, _ = run(capsys, *argv + (["--generic"] if generic else []))
+        assert code == 0
+        assert json.loads(out) == expected
+
 
 def test_check_hypotheses_usage_errors(capsys):
     code, _, err = run(capsys, "check-hypotheses", "--r", "1", "--s", "0")
@@ -174,6 +211,27 @@ def test_check_hypotheses_usage_errors(capsys):
         capsys, "check-hypotheses", "--r", "1", "--s", "0", "--d", "1", "--c1", "1"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wps-euler", "--weights", "0,1"],
+        ["bg-count", "--n", "0", "--degree", "1"],
+        ["bg-count", "--n", "2", "--degree", "-1"],
+        ["parseval", "--n", "0"],
+        ["parseval", "--n", "3", "--trials", "-3"],
+    ],
+)
+def test_domain_errors_exit_2(argv):
+    src = str(Path(orbk3.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbk3.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
 
 
 def test_json_output_is_stable(capsys):

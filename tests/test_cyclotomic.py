@@ -138,6 +138,48 @@ def test_print_parse_round_trip(data):
     assert parse_cyclotomic(format_cyclotomic(a)) == a
 
 
+def test_parse_rejects_nonpositive_field_order():
+    with pytest.raises(ValueError, match="field order must be positive"):
+        parse_cyclotomic("c[0]: 1")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_conjugate_and_embed_match_root_sums(data):
+    # oracle: a = sum c_k zeta_L^k, rebuilt term by term from root_of_unity
+    L = data.draw(st.integers(1, 24))
+    m = data.draw(st.integers(1, 3))
+    a = data.draw(cyclo_elements(L))
+    conj = Cyclotomic.zero(L)
+    lifted = Cyclotomic.zero(m * L)
+    for k, c in enumerate(a.coeffs):
+        conj = conj + root_of_unity(L, -k) * c
+        lifted = lifted + root_of_unity(m * L, k * m) * c
+    assert a.conjugate() == conj
+    assert a.embed(m * L) == lifted
+    assert a.embed(m * L).L == m * L
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for L in range(1, 121):
+        expected = sympy.Poly(sympy.cyclotomic_poly(L, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(L) == tuple(Fraction(int(c)) for c in expected)
+        assert euler_phi(L) == sympy.totient(L)
+
+
+@pytest.mark.parametrize("L", [5, 8, 12, 15, 21])
+def test_inverse_matches_sympy(L):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a = sum((root_of_unity(L, k) * Fraction(k + 1, 2 * k + 3) for k in range(4)), Cyclotomic.zero(L))
+    a_expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(a.coeffs))
+    inv = sympy.Poly(sympy.invert(a_expr, sympy.cyclotomic_poly(L, x), x), x).all_coeffs()[::-1]
+    expected = tuple(Fraction(int(c.p), int(c.q)) for c in inv)
+    assert poly(a.inverse().coeffs) == poly(expected)
+
+
 def test_embedding_is_a_field_map():
     z3 = root_of_unity(3)
     z3_in_12 = z3.embed(12)

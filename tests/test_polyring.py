@@ -13,6 +13,7 @@ from orbk3.polyring import (
     poly_add,
     poly_divmod,
     poly_eval,
+    poly_fold,
     poly_mul,
     poly_xgcd,
 )
@@ -50,6 +51,28 @@ def test_xgcd_bezout(a, b):
     if g:
         assert poly_divmod(a, g)[1] == ()
         assert poly_divmod(b, g)[1] == ()
+
+
+def test_fold_worked_examples():
+    p = poly([1, 2, 3])
+    # p(x^2) = 1 + 2x^2 + 3x^4 = 1 + 3x + 2x^2 mod x^3 - 1
+    assert poly_fold(p, 2, 3) == poly([1, 3, 2])
+    # p(x^-1) = 1 + 2x^-1 + 3x^-2 = 1 + 3x + 2x^2 mod x^3 - 1
+    assert poly_fold(p, -1, 3) == poly([1, 3, 2])
+    # trailing zeros are kept: the result has exactly n coefficients
+    assert poly_fold(p, 1, 5) == (1, 2, 3, 0, 0)
+    assert poly_fold((), 1, 2) == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.integers(-7, 7), st.integers(1, 9))
+def test_fold_is_substitution_then_reduction(p, e, n):
+    # oracle: substitute x^(e mod n) by hand, then reduce mod x^n - 1
+    substituted = ()
+    for k, c in enumerate(p):
+        substituted = poly_add(substituted, monomial(k * (e % n), c))
+    reduced = poly_divmod(substituted, poly([-1] + [0] * (n - 1) + [1]))[1]
+    assert poly(poly_fold(p, e, n)) == reduced
 
 
 def test_quotient_reduce_idempotent():

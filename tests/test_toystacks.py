@@ -79,6 +79,19 @@ def test_parseval_property(n, data):
     assert parseval_check(f, g)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_group_ring_product_is_cyclic_convolution(n, data):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    f = GroupRingElement(n, tuple(data.draw(coeff) for _ in range(n)))
+    g = GroupRingElement(n, tuple(data.draw(coeff) for _ in range(n)))
+    naive = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            naive[(i + j) % n] += f.coeffs[i] * g.coeffs[j]
+    assert (f * g).coeffs == tuple(naive)
+
+
 def test_group_ring_validation():
     with pytest.raises(ToyStackError):
         GroupRingElement(2, (1, 2, 3))

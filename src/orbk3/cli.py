@@ -42,6 +42,17 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_INTERNAL = 4
 
+# Size limits on integer arguments, so that every accepted argv finishes in a
+# few seconds: the costliest, parseval and wps-euler at their limits, take
+# about 3 s on one core of a 2-vCPU x86-64 machine (Python 3.11).
+PARSEVAL_MAX_N = 12
+PARSEVAL_MAX_TRIALS = 100
+HILB_MAX_LENGTH = 6
+BG_MAX_N = 1000
+BG_MAX_DEGREE = 1000
+WPS_MAX_WEIGHTS = 8
+WPS_MAX_WEIGHT_SUM = 64
+
 
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
@@ -72,6 +83,11 @@ def _load_preset_or_model(args):
 
 class UsageError(Exception):
     pass
+
+
+def _check_range(flag: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise UsageError(f"{flag} must be between {low} and {high}, got {value}")
 
 
 def cmd_fixed_points(args) -> int:
@@ -110,6 +126,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_hilb_enum(args) -> int:
+    _check_range("--length", args.length, 0, HILB_MAX_LENGTH)
     rows = enumerate_mu2(args.length)
     if args.json:
         print(json.dumps([r.to_json() for r in rows], sort_keys=True))
@@ -132,8 +149,8 @@ def cmd_verify_identity(args) -> int:
 
 
 def cmd_parseval(args) -> int:
-    if args.n < 1 or args.trials < 0:
-        raise UsageError("need --n >= 1 and --trials >= 0")
+    _check_range("--n", args.n, 1, PARSEVAL_MAX_N)
+    _check_range("--trials", args.trials, 0, PARSEVAL_MAX_TRIALS)
     rng = random.Random(args.seed)
     n = args.n
     failures = 0
@@ -155,6 +172,10 @@ def cmd_wps_euler(args) -> int:
         weights = tuple(int(w) for w in args.weights.split(","))
     except ValueError as exc:
         raise UsageError(f"bad weight list {args.weights!r}") from exc
+    if len(weights) > WPS_MAX_WEIGHTS or sum(weights) > WPS_MAX_WEIGHT_SUM:
+        raise UsageError(
+            f"at most {WPS_MAX_WEIGHTS} weights with sum at most {WPS_MAX_WEIGHT_SUM}"
+        )
     euler = wps_euler_class_tangent(weights)
     relation = wps_relation_element(weights)
     if not relation.is_zero():
@@ -173,6 +194,8 @@ def cmd_wps_euler(args) -> int:
 
 
 def cmd_bg_count(args) -> int:
+    _check_range("--n", args.n, 1, BG_MAX_N)
+    _check_range("--degree", args.degree, 0, BG_MAX_DEGREE)
     count = bg_moduli_count(args.n, args.degree)
     _emit(
         args,
@@ -228,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("hilb-enum", help="enumerate mu_2 equivariant Hilbert classes by length")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=int, required=True, help=f"0 <= LENGTH <= {HILB_MAX_LENGTH}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hilb_enum)
 
@@ -237,20 +260,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identity, no_validate=True)
 
     p = sub.add_parser("parseval", help="randomized Parseval property check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--n", type=int, required=True, help=f"group order, 1 <= N <= {PARSEVAL_MAX_N}")
+    p.add_argument(
+        "--trials", type=int, default=100, help=f"0 <= TRIALS <= {PARSEVAL_MAX_TRIALS} (default 100)"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_parseval)
 
     p = sub.add_parser("wps-euler", help="tangent Euler class of a weighted projective stack")
-    p.add_argument("--weights", required=True, help="comma-separated positive weights")
+    p.add_argument(
+        "--weights",
+        required=True,
+        help=f"comma-separated positive weights, at most {WPS_MAX_WEIGHTS}, sum <= {WPS_MAX_WEIGHT_SUM}",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wps_euler)
 
     p = sub.add_parser("bg-count", help="count classes of given degree on B(mu_n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"1 <= N <= {BG_MAX_N}")
+    p.add_argument("--degree", type=int, required=True, help=f"0 <= DEGREE <= {BG_MAX_DEGREE}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bg_count)
 

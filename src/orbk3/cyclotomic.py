@@ -4,7 +4,10 @@ Elements are canonical residues in Q[x]/Phi_L(x), where Phi_L is the L-th
 cyclotomic polynomial, so equality is coefficient-wise and every operation
 is exact.  Phi_L is obtained by dividing x^L - 1 by Phi_d over the proper
 divisors d of L.  Embedding and conjugation substitute a power of x and
-reduce: because x^L = 1 mod Phi_L, both are one `poly_fold`.
+reduce: because x^L = 1 mod Phi_L, both are one `poly_fold`.  Inversion
+clears denominators and runs the extended Euclid against Phi_L in integers
+(`poly_inverse_mod`); only its result is turned back into Fractions.
+Hashing uses the normalized trace Tr(a)/phi(L), which embedding preserves.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .polyring import (
     Coeffs,
@@ -22,12 +25,11 @@ from .polyring import (
     poly_add,
     poly_divmod,
     poly_fold,
+    poly_inverse_mod,
     poly_mod,
     poly_mul,
     poly_neg,
-    poly_scale,
     poly_sub,
-    poly_xgcd,
 )
 
 
@@ -59,6 +61,20 @@ def _zeta_powers(L: int) -> tuple[Coeffs, ...]:
         out.append(cur)
         cur = poly_mod(poly_mul(cur, monomial(1)), phi)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(L: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_L^k)/phi(L) = mu(m)/phi(m) with m = L/gcd(k, L), for k < phi(L).
+
+    mu(m), the sum of the primitive m-th roots of unity, is minus the
+    next-to-leading coefficient of the monic Phi_m.
+    """
+    weights = []
+    for k in range(euler_phi(L)):
+        phi_m = cyclotomic_polynomial(L // gcd(k, L))
+        weights.append(-phi_m[-2] / (len(phi_m) - 1))
+    return tuple(weights)
 
 
 class ExactnessError(ValueError):
@@ -146,14 +162,12 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via extended Euclid against Phi_L."""
-        res = poly(self.coeffs)
-        if not res:
-            raise ZeroDivisionError("inversion of zero in Q(zeta_L)")
-        s, _, g = poly_xgcd(res, cyclotomic_polynomial(self.L))
-        # g is a nonzero constant: Phi_L is irreducible over Q
-        inv = poly_scale(s, Fraction(1) / g[0])
-        return Cyclotomic(self.L, poly_mod(inv, cyclotomic_polynomial(self.L)))
+        """Multiplicative inverse; raises ZeroDivisionError for zero.
+
+        Phi_L is irreducible, so every nonzero residue is a unit;
+        `poly_inverse_mod` finds its inverse by an extended Euclid in integers.
+        """
+        return Cyclotomic(self.L, poly_inverse_mod(poly(self.coeffs), cyclotomic_polynomial(self.L)))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -201,9 +215,8 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.as_rational())
-        return hash((self.L, self.coeffs))
+        # Tr(a)/phi(L) does not change under embedding, and is a itself when a is rational
+        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.L)) if c))
 
     # -- printing / parsing --------------------------------------------
 

@@ -9,6 +9,7 @@ coefficient-normalization concerns.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Coeffs = tuple[Fraction, ...]
@@ -93,17 +94,62 @@ def poly_mod(p: Coeffs, m: Coeffs) -> Coeffs:
     return poly_divmod(p, m)[1]
 
 
-def poly_xgcd(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
-    """Extended Euclid over Q[x]: returns (s, t, g) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = poly((1,)), ()
-    t0, t1 = (), poly((1,))
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    return s0, t0, r0
+def _numerators(p: Coeffs) -> tuple[list[int], int]:
+    """(P, d) with p = P/d, P an integer vector and d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in p))
+    return [c.numerator * (d // c.denominator) for c in p], d
+
+
+def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
+    """The inverse of a in Q[x]/(m), by a fraction-free extended Euclid.
+
+    a = A/d with A in Z[x].  The remainder sequence of (m, A) runs in Z[x] by
+    pseudo-division, and after each division the remainder and the cofactor
+    of A are divided by their joint content (the primitive remainder sequence,
+    Collins 1967), so no Fraction is built until the end.  The invariant is
+    r = s*A mod m; the last nonzero remainder is a constant c, so the inverse
+    is d*s/c.  The cofactor of m is never needed and not computed.
+
+    Raises ZeroDivisionError when a = 0 mod m, and ValueError when m is a
+    constant or gcd(a, m) is not.
+    """
+    if len(m) < 2:
+        raise ValueError("modulus must have degree >= 1")
+    if len(a) >= len(m):
+        a = poly_mod(a, m)
+    if not a:
+        raise ZeroDivisionError("inversion of zero modulo m")
+    r0, s0 = _numerators(m)[0], []
+    r1, d = _numerators(a)
+    s1 = [1]
+    while len(r1) > 1:
+        r, s = list(r0), list(s0)
+        *low, lead = r1
+        while len(r) >= len(r1):
+            c = r.pop()
+            if c:
+                # lead*r - c*x^shift*r1 cancels the top term; scale by lead/g only
+                g = gcd(c, lead)
+                f, c = lead // g, c // g
+                shift = len(r) + 1 - len(r1)
+                if f != 1:
+                    r = [f * x for x in r]
+                    s = [f * x for x in s]
+                for j, b in enumerate(low):
+                    r[shift + j] -= c * b
+                s += [0] * (shift + len(s1) - len(s))
+                for j, b in enumerate(s1):
+                    s[shift + j] -= c * b
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            raise ValueError("not invertible: gcd with the modulus has positive degree")
+        content = gcd(*r, *s)
+        if content != 1:
+            r = [x // content for x in r]
+            s = [x // content for x in s]
+        r0, s0, r1, s1 = r1, s1, r, s
+    return poly(Fraction(d * x, r1[0]) for x in s1)
 
 
 def poly_eval(p: Coeffs, x):

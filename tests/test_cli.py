@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: outputs, JSON mode, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbk3
+from orbk3 import cli
 from orbk3.cli import main
-from orbk3.inertia import SectorEntry, preset_cyclic, K3GModel
+from orbk3.inertia import MAX_SYMPLECTIC_ORDER, SectorEntry, preset_cyclic, K3GModel
 
 
 def run(capsys, *argv):
@@ -238,3 +243,54 @@ def test_json_output_is_stable(capsys):
     code, first, _ = run(capsys, "fixed-points", "--order", "3", "--json")
     code, second, _ = run(capsys, "fixed-points", "--order", "3", "--json")
     assert first == second
+
+
+def _ints(limit):
+    """Integers across a documented limit and far beyond it, both signs."""
+    return st.one_of(st.integers(-2, limit + 2), st.integers(-(10**30), 10**30))
+
+
+ARGV = st.one_of(
+    st.tuples(st.just("fixed-points"), st.just("--order"), _ints(MAX_SYMPLECTIC_ORDER).map(str)),
+    st.tuples(
+        st.just("dim"), st.just("--preset"), _ints(MAX_SYMPLECTIC_ORDER).map("cyclic:{}".format),
+        st.just("--class"), st.sampled_from(["OX", "Op", "TX"]),
+    ),
+    st.tuples(st.just("verify-identity"), st.just("--preset"), _ints(MAX_SYMPLECTIC_ORDER).map("cyclic:{}".format)),
+    st.tuples(st.just("hilb-enum"), st.just("--length"), _ints(cli.HILB_MAX_LENGTH).map(str)),
+    st.tuples(
+        st.just("parseval"), st.just("--n"), _ints(cli.PARSEVAL_MAX_N).map(str),
+        st.just("--trials"), _ints(cli.PARSEVAL_MAX_TRIALS).map(str),
+        st.just("--seed"), _ints(0).map(str),
+    ),
+    st.tuples(
+        st.just("wps-euler"), st.just("--weights"),
+        st.lists(_ints(cli.WPS_MAX_WEIGHT_SUM // 4), min_size=1, max_size=cli.WPS_MAX_WEIGHTS + 2).map(
+            lambda ws: ",".join(map(str, ws))
+        ),
+    ),
+    st.tuples(
+        st.just("bg-count"), st.just("--n"), _ints(cli.BG_MAX_N).map(str),
+        st.just("--degree"), _ints(cli.BG_MAX_DEGREE).map(str),
+    ),
+    st.tuples(
+        st.just("check-hypotheses"), st.just("--r"), _ints(3).map(str),
+        st.just("--s"), _ints(3).map(str), st.just("--d"), _ints(3).map(str),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARGV, st.booleans())
+def test_argv_fuzz_exit_codes(argv, as_json):
+    argv = list(argv) + (["--json"] if as_json else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic: worked values and exact field laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,7 +170,7 @@ def test_cyclotomic_polynomial_matches_sympy():
         assert euler_phi(L) == sympy.totient(L)
 
 
-@pytest.mark.parametrize("L", [5, 8, 12, 15, 21])
+@pytest.mark.parametrize("L", [5, 8, 12, 15, 21, 31, 60, 97])
 def test_inverse_matches_sympy(L):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -178,6 +179,30 @@ def test_inverse_matches_sympy(L):
     inv = sympy.Poly(sympy.invert(a_expr, sympy.cyclotomic_poly(L, x), x), x).all_coeffs()[::-1]
     expected = tuple(Fraction(int(c.p), int(c.q)) for c in inv)
     assert poly(a.inverse().coeffs) == poly(expected)
+
+
+def test_dense_inverse_in_degree_96():
+    rng = random.Random(97)
+    a = Cyclotomic(97, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(96)])
+    assert a * a.inverse() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hash_is_invariant_under_embedding(data):
+    L = data.draw(st.integers(1, 24))
+    M = L * data.draw(st.integers(1, 48 // L))
+    a = data.draw(cyclo_elements(L))
+    assert a == a.embed(M)
+    assert hash(a) == hash(a.embed(M))
+    if a.is_rational():
+        assert hash(a) == hash(a.as_rational())
+
+
+def test_equal_elements_collapse_in_a_set():
+    z3 = root_of_unity(3)
+    assert len({z3, z3.embed(6), root_of_unity(6, 2)}) == 1
+    assert len({Cyclotomic.one(5), 1, Fraction(1)}) == 1
 
 
 def test_embedding_is_a_field_map():

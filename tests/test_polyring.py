@@ -14,8 +14,8 @@ from orbk3.polyring import (
     poly_divmod,
     poly_eval,
     poly_fold,
+    poly_inverse_mod,
     poly_mul,
-    poly_xgcd,
 )
 
 polys = st.lists(
@@ -43,14 +43,42 @@ def test_divmod_is_exact_division(p, m):
     assert len(r) < len(m)
 
 
-@settings(max_examples=60, deadline=None)
-@given(polys, polys)
-def test_xgcd_bezout(a, b):
-    s, t, g = poly_xgcd(a, b)
-    assert poly_add(poly_mul(s, a), poly_mul(t, b)) == g
-    if g:
-        assert poly_divmod(a, g)[1] == ()
-        assert poly_divmod(b, g)[1] == ()
+def _gcd_over_q(a, b):
+    # reference: plain Euclid with Fraction long division
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, polys, st.booleans())
+def test_inverse_mod(a, m, common, share):
+    if share and len(common) > 1 and a:
+        # a shared factor of positive degree is never invertible
+        a, m = poly_mul(a, common), poly_mul(m, common)
+    if len(m) < 2:
+        with pytest.raises(ValueError):
+            poly_inverse_mod(a, m)
+    elif not poly_divmod(a, m)[1]:
+        with pytest.raises(ZeroDivisionError):
+            poly_inverse_mod(a, m)
+    elif len(_gcd_over_q(m, a)) > 1:
+        with pytest.raises(ValueError):
+            poly_inverse_mod(a, m)
+    else:
+        inv = poly_inverse_mod(a, m)
+        assert len(inv) < len(m)
+        assert poly_divmod(poly_mul(a, inv), m)[1] == poly((1,))
+
+
+def test_inverse_mod_worked_examples():
+    # (x + 1)(x - 1) = x^2 - 1 = 1 mod x^2 - 2
+    assert poly_inverse_mod(poly([1, 1]), poly([-2, 0, 1])) == poly([-1, 1])
+    # 1/2 x has inverse 2/x = 2x/3 mod x^2 - 3; a above the modulus degree is reduced first
+    assert poly_inverse_mod(poly([0, Fraction(1, 2)]), poly([-3, 0, 1])) == poly([0, Fraction(2, 3)])
+    assert poly_inverse_mod(poly([-3, 1, 1]), poly([-1, 1])) == poly([-1])
+    with pytest.raises(ValueError):
+        poly_inverse_mod(poly([-1, 1]), poly([-1, 0, 1]))  # gcd x - 1
 
 
 def test_fold_worked_examples():

@@ -1,13 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L).
 
-Elements are canonical residues in Q[x]/Phi_L(x), where Phi_L is the L-th
-cyclotomic polynomial, so equality is coefficient-wise and every operation
-is exact.  Phi_L is obtained by dividing x^L - 1 by Phi_d over the proper
-divisors d of L.  Embedding and conjugation substitute a power of x and
-reduce: because x^L = 1 mod Phi_L, both are one `poly_fold`.  Inversion
-clears denominators and runs the extended Euclid against Phi_L in integers
-(`poly_inverse_mod`); only its result is turned back into Fractions.
-Hashing uses the normalized trace Tr(a)/phi(L), which embedding preserves.
+An element of Q(zeta_L) is a `QuotientRingElement` of Q[x]/Phi_L(x), where
+Phi_L is the L-th cyclotomic polynomial, so it shares the one residue
+arithmetic of `polyring`: equality is coefficient-wise, every operation is
+exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
+is obtained by dividing x^L - 1 by Phi_d over the proper divisors d of L.
+What is particular to the field lives here: operands of different orders
+meet in Q(zeta_lcm), and embedding and conjugation substitute a power of x
+and reduce, which, because x^L = 1 mod Phi_L, is one `poly_fold`.  Hashing
+uses the normalized trace Tr(a)/phi(L), which embedding preserves.
 """
 
 from __future__ import annotations
@@ -19,17 +20,12 @@ from math import gcd, lcm
 
 from .polyring import (
     Coeffs,
+    QuotientRing,
+    QuotientRingElement,
     format_poly,
-    monomial,
     poly,
-    poly_add,
     poly_divmod,
     poly_fold,
-    poly_inverse_mod,
-    poly_mod,
-    poly_mul,
-    poly_neg,
-    poly_sub,
 )
 
 
@@ -52,14 +48,19 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _zeta_powers(L: int) -> tuple[Coeffs, ...]:
-    """x^k mod Phi_L for k = 0..L-1."""
-    phi = cyclotomic_polynomial(L)
-    out = []
-    cur = poly((1,))
-    for _ in range(L):
-        out.append(cur)
-        cur = poly_mod(poly_mul(cur, monomial(1)), phi)
+def _field(L: int) -> QuotientRing:
+    """Q[x]/Phi_L, one instance per L, which records its order L."""
+    ring = QuotientRing(cyclotomic_polynomial(L))
+    ring.L = L
+    return ring
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
+    """zeta_L^k for k = 0..L-1: each is the one before times x (a shift), reduced once."""
+    out = [Cyclotomic.one(L)]
+    for _ in range(L - 1):
+        out.append(Cyclotomic(L, (0,) + out[-1].coeffs))
     return tuple(out)
 
 
@@ -85,30 +86,34 @@ class AmbientFieldError(ValueError):
     """Raised when root orders or field orders are incompatible."""
 
 
-class Cyclotomic:
+class Cyclotomic(QuotientRingElement):
     """An element of Q(zeta_L), stored as a residue mod Phi_L.
 
     Immutable; all arithmetic returns new values.  Mixed arithmetic with
     ints and Fractions embeds them into the prime field.
     """
 
-    __slots__ = ("L", "coeffs")
+    __slots__ = ()
 
     def __init__(self, L: int, coeffs):
         if L < 1:
             raise ValueError("field order must be positive")
-        cs = poly(coeffs)
-        deg = len(cyclotomic_polynomial(L)) - 1
-        if len(cs) > deg:
-            cs = poly_mod(cs, cyclotomic_polynomial(L))
-        self.L = L
-        self.coeffs = tuple(cs) + (Fraction(0),) * (deg - len(cs))
+        super().__init__(_field(L), coeffs)
+
+    @property
+    def L(self) -> int:
+        return self.ring.L
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, L: int = 1) -> "Cyclotomic":
         return cls(L, (Fraction(value),))
+
+    @classmethod
+    def coerce(cls, value) -> "Cyclotomic":
+        """value itself when it is a Cyclotomic, else the rational it names."""
+        return value if isinstance(value, Cyclotomic) else cls.from_rational(value)
 
     @classmethod
     def zero(cls, L: int = 1) -> "Cyclotomic":
@@ -129,63 +134,10 @@ class Cyclotomic:
         return Cyclotomic(L, poly_fold(self.coeffs, L // self.L, L))
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
-        if isinstance(other, (int, Fraction)):
-            return self, Cyclotomic(self.L, (other,))
-        if not isinstance(other, Cyclotomic):
-            raise TypeError(f"cannot combine Cyclotomic with {type(other).__name__}")
-        L = lcm(self.L, other.L)
-        return self.embed(L), other.embed(L)
-
-    # -- ring/field operations ----------------------------------------
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic(a.L, poly_add(a.coeffs, b.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.L, poly_neg(self.coeffs))
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic(a.L, poly_sub(a.coeffs, b.coeffs))
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        a, b = self._pair(other)
-        prod = poly_mod(poly_mul(a.coeffs, b.coeffs), cyclotomic_polynomial(a.L))
-        return Cyclotomic(a.L, prod)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse; raises ZeroDivisionError for zero.
-
-        Phi_L is irreducible, so every nonzero residue is a unit;
-        `poly_inverse_mod` finds its inverse by an extended Euclid in integers.
-        """
-        return Cyclotomic(self.L, poly_inverse_mod(poly(self.coeffs), cyclotomic_polynomial(self.L)))
-
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return Cyclotomic.from_rational(other) / self
-
-    def __pow__(self, k: int):
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        acc = Cyclotomic.one(self.L)
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        if isinstance(other, Cyclotomic):
+            L = lcm(self.L, other.L)
+            return self.embed(L), other.embed(L)
+        return super()._pair(other)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^{-1}."""
@@ -196,23 +148,14 @@ class Cyclotomic:
 
     # -- predicates / extraction --------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self) -> Fraction:
         """The rational value; raises ExactnessError off the prime field."""
         if not self.is_rational():
             raise ExactnessError(f"not a rational element: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            a, b = self._pair(other)
-            return a.coeffs == b.coeffs
-        return NotImplemented
+        return self.coeffs[0]
 
     def __hash__(self) -> int:
         # Tr(a)/phi(L) does not change under embedding, and is a itself when a is rational
@@ -235,13 +178,12 @@ def root_of_unity(order: int, exponent: int = 1, L: int | None = None) -> Cyclot
         L = order
     if L % order != 0:
         raise AmbientFieldError(f"order {order} does not divide ambient L={L}")
-    k = (L // order) * (exponent % order)
-    return Cyclotomic(L, _zeta_powers(L)[k % L])
+    return _zeta_powers(L)[(L // order) * (exponent % order)]
 
 
 def inverse_one_minus_re(lam: Cyclotomic) -> Cyclotomic:
     """1/(1 - Re lambda) for a root of unity lambda != 1: the core of every sector weight."""
-    return (Cyclotomic.one(lam.L) - lam.real_part()).inverse()
+    return (1 - lam.real_part()).inverse()
 
 
 def sum_inverse_one_minus_cos(n: int) -> Fraction:

@@ -49,11 +49,28 @@ class FiniteGroup:
                     break
             if inverses[i] is None:
                 raise GroupError(f"element {i} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise GroupError("Cayley table is not associative")
+        # Light's test: the g with (a*g)*b == a*(g*b) for all a, b are closed under
+        # products, so checking a generating set suffices.  Generators are picked
+        # greedily; in a group each one at least doubles the subgroup reached,
+        # so needing more than n.bit_length() of them already disproves it.
+        gens, reached = [], {identity}
+        for x in range(n):
+            if x in reached:
+                continue
+            gens.append(x)
+            if len(gens) > n.bit_length():
+                raise GroupError("Cayley table is not associative")
+            reached, todo = {identity}, [identity]
+            while todo:
+                y = todo.pop()
+                for g in gens:
+                    if table[y][g] not in reached:
+                        reached.add(table[y][g])
+                        todo.append(table[y][g])
+        for g in gens:
+            for row in table:
+                if table[row[g]] != tuple(map(row.__getitem__, table[g])):
+                    raise GroupError("Cayley table is not associative")
         self.cayley = table
         self.order = n
         self.identity = identity
@@ -182,10 +199,7 @@ class Character:
     def __init__(self, group: FiniteGroup, values):
         self.group = group
         self.classes = conjugacy_classes(group)
-        vals = tuple(
-            v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
-            for v in values
-        )
+        vals = tuple(Cyclotomic.coerce(v) for v in values)
         if len(vals) != len(self.classes):
             raise GroupError("one value per conjugacy class required")
         self.values = vals

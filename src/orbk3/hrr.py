@@ -25,12 +25,6 @@ class SectorMismatchError(ValueError):
     pass
 
 
-def _as_cyclo(v) -> Cyclotomic:
-    if isinstance(v, Cyclotomic):
-        return v
-    return Cyclotomic.from_rational(v)
-
-
 @dataclass(frozen=True)
 class EquivariantClass:
     """A numerical class on [K3/G]: global Mukai vector + one local character
@@ -41,7 +35,7 @@ class EquivariantClass:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "local_chars", tuple(_as_cyclo(v) for v in self.local_chars)
+            self, "local_chars", tuple(Cyclotomic.coerce(v) for v in self.local_chars)
         )
 
     def to_json(self) -> dict:
@@ -68,7 +62,7 @@ class OrbifoldMukaiVector:
     twisted: tuple[Cyclotomic, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "twisted", tuple(_as_cyclo(v) for v in self.twisted))
+        object.__setattr__(self, "twisted", tuple(Cyclotomic.coerce(v) for v in self.twisted))
 
 
 def orbifold_mukai_vector(model: K3GModel, x: EquivariantClass) -> OrbifoldMukaiVector:

@@ -1,9 +1,9 @@
-"""Univariate polynomials over Q and canonical quotient-ring residues.
+"""Univariate polynomials over Q, and the one residue type for quotients Q[x]/(m).
 
 Polynomials are plain tuples of Fractions in ascending degree, with trailing
-zeros stripped; the zero polynomial is the empty tuple.  This flat
-representation keeps the cyclotomic and K-theory layers free of any
-coefficient-normalization concerns.
+zeros stripped; the zero polynomial is the empty tuple.  A residue in Q[x]/(m)
+is exactly deg m coefficients, padded with zeros.  `QuotientRingElement` does
+all residue arithmetic; Q(zeta_L) and Z[x]/(x^n - 1) are subclasses of it.
 """
 
 from __future__ import annotations
@@ -35,12 +35,8 @@ def poly_add(p: Coeffs, q: Coeffs) -> Coeffs:
     )
 
 
-def poly_neg(p: Coeffs) -> Coeffs:
-    return tuple(-c for c in p)
-
-
 def poly_sub(p: Coeffs, q: Coeffs) -> Coeffs:
-    return poly_add(p, poly_neg(q))
+    return poly_add(p, tuple(-c for c in q))
 
 
 def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
@@ -180,26 +176,28 @@ def format_poly(p: Coeffs, var: str = "x") -> str:
 
 
 class QuotientRing:
-    """Q[x]/(m) with canonical residues.
-
-    When the modulus has a unit constant term, x is invertible: from
-    m(x) = x*q(x) + m(0) we get x^{-1} = -q(x)/m(0).  The inverse is computed
-    once and cached, so Laurent-style expressions reduce to plain residues.
-    """
+    """Q[x]/(m) with canonical residues: exactly deg m Fraction coefficients."""
 
     def __init__(self, modulus: Iterable):
         m = poly(modulus)
         if poly_deg(m) < 1:
             raise ValueError("modulus must have degree >= 1")
         self.modulus = m
-        self._x_inv: Coeffs | None = None
+        self.degree = poly_deg(m)
+
+    def residue(self, p: Iterable) -> Coeffs:
+        """The canonical residue of p: reduced only when longer than deg m, then zero-padded."""
+        cs = poly(p)
+        if len(cs) > self.degree:
+            cs = poly_mod(cs, self.modulus)
+        return cs + (Fraction(0),) * (self.degree - len(cs))
 
     def reduce(self, p: Iterable) -> "QuotientRingElement":
-        return QuotientRingElement(self, poly_mod(poly(p), self.modulus))
+        return QuotientRingElement(self, p)
 
     @property
     def zero(self) -> "QuotientRingElement":
-        return QuotientRingElement(self, ())
+        return self.reduce(())
 
     @property
     def one(self) -> "QuotientRingElement":
@@ -209,20 +207,12 @@ class QuotientRing:
         return self.reduce(monomial(1))
 
     def x_inverse(self) -> "QuotientRingElement":
-        if self._x_inv is None:
-            c0 = self.modulus[0]
-            if c0 == 0:
-                raise ValueError("x is not invertible: modulus constant term is 0")
-            # m(x) = x*q(x) + c0  =>  x * (-q/c0) = 1 mod m
-            q = self.modulus[1:]
-            self._x_inv = poly_mod(poly_scale(q, Fraction(-1) / c0), self.modulus)
-        return QuotientRingElement(self, self._x_inv)
+        """x^{-1}; raises ValueError when x divides the modulus."""
+        return self.x().inverse()
 
     def x_power(self, k: int) -> "QuotientRingElement":
-        """x^k for any integer k, negative exponents via the cached inverse."""
-        if k >= 0:
-            return self.reduce(monomial(k))
-        return self.x_inverse() ** (-k)
+        """x^k for any integer k."""
+        return self.x() ** k
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuotientRing) and self.modulus == other.modulus
@@ -235,49 +225,81 @@ class QuotientRing:
 
 
 class QuotientRingElement:
-    """Canonical residue in a QuotientRing.  Immutable."""
+    """A residue in a QuotientRing, and the one implementation of residue arithmetic.
 
-    __slots__ = ("ring", "residue")
+    Immutable.  `coeffs` is the canonical residue (`QuotientRing.residue`).
+    Ints and Fractions combine as constants; an element of another type
+    raises TypeError, and one of another ring ValueError.  Subclasses fix the
+    ring and change only `_pair`, which brings two operands into one ring.
+    """
 
-    def __init__(self, ring: QuotientRing, residue: Coeffs):
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: QuotientRing, residue: Iterable):
         self.ring = ring
-        self.residue = residue
+        self.coeffs = ring.residue(residue)
 
-    def _coerce(self, other) -> "QuotientRingElement":
-        if isinstance(other, QuotientRingElement):
-            if other.ring != self.ring:
-                raise ValueError("quotient-ring mismatch")
-            return other
-        return self.ring.reduce((Fraction(other),))
+    @property
+    def residue(self) -> Coeffs:
+        return self.coeffs
+
+    def _new(self, coeffs: Coeffs):
+        """An element of self's type and ring from a residue already canonical."""
+        out = object.__new__(type(self))
+        out.ring = self.ring
+        out.coeffs = coeffs
+        return out
+
+    def _pair(self, other) -> tuple:
+        """(self, other) as elements of one ring."""
+        if isinstance(other, (int, Fraction)):
+            return self, self._new(self.ring.residue((other,)))
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError("quotient-ring mismatch")
+        return self, other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return QuotientRingElement(self.ring, poly_add(self.residue, other.residue))
+        a, b = self._pair(other)
+        # from a list: tuple() of an iterator resizes, stranding tuples in CPython's free lists
+        return a._new(tuple([x + y for x, y in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuotientRingElement(self.ring, poly_neg(self.residue))
+        return self._new(tuple([-x for x in self.coeffs]))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        a, b = self._pair(other)
+        return a._new(tuple([x - y for x, y in zip(a.coeffs, b.coeffs)]))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        a, b = self._pair(other)
+        return b - a
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return QuotientRingElement(
-            self.ring, poly_mod(poly_mul(self.residue, other.residue), self.ring.modulus)
-        )
+        a, b = self._pair(other)
+        return a._new(a.ring.residue(poly_mul(a.coeffs, b.coeffs)))
 
     __rmul__ = __mul__
 
+    def inverse(self):
+        """Multiplicative inverse; ZeroDivisionError for zero, ValueError for a zero divisor."""
+        return self._new(self.ring.residue(poly_inverse_mod(poly(self.coeffs), self.ring.modulus)))
+
+    def __truediv__(self, other):
+        a, b = self._pair(other)
+        return a * b.inverse()
+
+    def __rtruediv__(self, other):
+        a, b = self._pair(other)
+        return b * a.inverse()
+
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers of a general element are not supported")
-        acc = self.ring.one
-        base = self
+        base = self if k >= 0 else self.inverse()
+        k = abs(k)
+        acc = self._pair(1)[1]
         while k:
             if k & 1:
                 acc = acc * base
@@ -286,17 +308,20 @@ class QuotientRingElement:
         return acc
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QuotientRingElement):
-            return self.ring == other.ring and self.residue == other.residue
-        if isinstance(other, (int, Fraction)):
-            return self == self._coerce(other)
-        return NotImplemented
+        try:
+            a, b = self._pair(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return a.coeffs == b.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.residue))
+        # a constant residue equals its constant, so it must hash like it
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
 
     def is_zero(self) -> bool:
-        return not self.residue
+        return not any(self.coeffs)
 
     def __repr__(self) -> str:
-        return format_poly(self.residue)
+        return format_poly(self.coeffs)

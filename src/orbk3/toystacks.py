@@ -10,45 +10,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
-from .polyring import QuotientRing, QuotientRingElement, poly, poly_fold, poly_mul
+from .polyring import QuotientRing, QuotientRingElement, monomial, poly, poly_mul
 
 
 class ToyStackError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+@lru_cache(maxsize=None)
+def _group_ring(n: int) -> QuotientRing:
+    return QuotientRing([-1] + [0] * (n - 1) + [1])
+
+
+class GroupRingElement(QuotientRingElement):
     """An element of Z[x]/(x^n - 1): the representation ring of mu_n."""
 
-    n: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        if len(cs) > self.n:
+    def __init__(self, n: int, coeffs):
+        coeffs = tuple(coeffs)
+        if n < 1:
+            raise ToyStackError("ring rank must be positive")
+        if len(coeffs) > n:
             raise ToyStackError("coefficient vector longer than the ring rank")
-        object.__setattr__(self, "coeffs", cs + (Fraction(0),) * (self.n - len(cs)))
+        super().__init__(_group_ring(n), coeffs)
+
+    @property
+    def n(self) -> int:
+        return self.ring.degree
 
     @classmethod
     def monomial(cls, n: int, k: int, c=1) -> "GroupRingElement":
-        coeffs = [0] * n
-        coeffs[k % n] = c
-        return cls(n, tuple(coeffs))
+        return cls(n, monomial(k % n, c))
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if self.n != other.n:
+    def _pair(self, other):
+        if isinstance(other, GroupRingElement) and other.n != self.n:
             raise ToyStackError("ring rank mismatch")
-        return GroupRingElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if self.n != other.n:
-            raise ToyStackError("ring rank mismatch")
-        return GroupRingElement(self.n, poly_fold(poly_mul(self.coeffs, other.coeffs), 1, self.n))
+        return super()._pair(other)
 
 
 def dft_inverse(f: GroupRingElement) -> tuple[Cyclotomic, ...]:
@@ -73,9 +76,7 @@ def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
         n = len(a)
     acc = Cyclotomic.zero()
     for ai, bi in zip(a, b):
-        ai = ai if isinstance(ai, Cyclotomic) else Cyclotomic.from_rational(ai)
-        bi = bi if isinstance(bi, Cyclotomic) else Cyclotomic.from_rational(bi)
-        acc = acc + ai.conjugate() * bi
+        acc = acc + Cyclotomic.coerce(ai).conjugate() * Cyclotomic.coerce(bi)
     return acc * Fraction(1, n)
 
 
@@ -153,13 +154,6 @@ class ChowP23Element:
         return ChowP23Element(
             (a0 * b0, a0 * b1 + a1 * b0),  # truncate mod h^2
             tuple(x * y for x, y in zip(self.twisted, other.twisted)),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChowP23Element)
-            and all(a == b for a, b in zip(self.untwisted, other.untwisted))
-            and all(a == b for a, b in zip(self.twisted, other.twisted))
         )
 
 

@@ -1,5 +1,6 @@
 """Group, conjugacy, and character-theory tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,3 +195,70 @@ def test_group_json_round_trip():
     bad["order"] = 7
     with pytest.raises(GroupError):
         FiniteGroup.from_json(bad)
+
+
+def test_nonassociative_loop_is_rejected():
+    # a Latin square with identity 0 and two-sided inverses, but (1*2)*3 != 1*(2*3)
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup(loop)
+
+
+def _identity_and_inverses(table) -> bool:
+    n = len(table)
+    ids = [e for e in range(n) if all(table[e][j] == j == table[j][e] for j in range(n))]
+    return bool(ids) and all(
+        any(table[i][j] == ids[0] == table[j][i] for j in range(n)) for i in range(n)
+    )
+
+
+def _is_group_by_triple_loop(table) -> bool:
+    """Reference: identity, two-sided inverses, associativity over all n^3 triples."""
+    n = len(table)
+    return _identity_and_inverses(table) and all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def _accepted(table) -> bool:
+    try:
+        FiniteGroup(table)
+    except GroupError:
+        return False
+    return True
+
+
+def _relabel(table, perm):
+    inv = {p: i for i, p in enumerate(perm)}
+    return [[inv[table[p][q]] for q in perm] for p in perm]
+
+
+SMALL_GROUPS = ABELIAN_GROUPS + [symmetric_group_s3()]
+
+
+@pytest.mark.parametrize(
+    "group", SMALL_GROUPS, ids=[f"{i}-order{g.order}" for i, g in enumerate(SMALL_GROUPS)]
+)
+def test_generator_associativity_check_matches_triple_loop(group):
+    n = group.order
+    rng = random.Random(n)
+    base = [list(row) for row in group.cayley]
+    tables = [base]
+    for _ in range(10):
+        # swap two products in one row, away from the identity row, column and value:
+        # identity and inverses survive, associativity usually does not
+        t = [row[:] for row in base]
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if group.identity not in (a, b, c, t[a][b], t[a][c]):
+            t[a][b], t[a][c] = t[a][c], t[a][b]
+        perm = rng.sample(range(n), n)
+        tables += [t, _relabel(base, perm), _relabel(t, perm)]
+    for t in tables:
+        assert _accepted(t) == _is_group_by_triple_loop(t)
+    assert all(_accepted(t) for t in tables[2::3])  # relabelled groups stay groups
+    if n >= 4:
+        # some perturbed table reaches the associativity check and fails it
+        assert any(_identity_and_inverses(t) and not _accepted(t) for t in tables)

@@ -130,3 +130,56 @@ def test_element_arithmetic():
     assert (1 + i) * (1 - i) == 2
     assert (i ** 4) == ring.one
     assert poly_eval((1 + i).residue, Fraction(2)) == 3
+
+
+def test_residue_is_padded_to_the_modulus_degree():
+    ring = QuotientRing(poly([-1, 0, 0, 1]))  # x^3 - 1
+    assert ring.reduce([3]).residue == (3, 0, 0)
+    assert ring.reduce(monomial(4)).residue == (0, 1, 0)
+    assert ring.zero.residue == (0, 0, 0)
+
+
+def test_division_inverse_and_negative_powers():
+    ring = QuotientRing(poly([1, 0, 1]))  # x^2 + 1, so x = i
+    i = ring.x()
+    assert (1 + i).inverse() == (1 - i) / 2
+    assert (1 + i) / (1 - i) == i
+    assert 1 / i == -i
+    assert i ** -1 == -i and i ** -3 == i
+    assert ring.x_power(-5) == ring.x_inverse()
+    # a unit of a ring that is not a field: (2 + x)(2 - x) = 3 mod x^2 - 1
+    split = QuotientRing(poly([-1, 0, 1]))
+    u = split.reduce([2, 1])
+    assert u.inverse() == split.reduce([Fraction(2, 3), Fraction(-1, 3)])
+    assert u * u ** -2 == u.inverse()
+
+
+def test_inverse_of_zero_and_of_a_zero_divisor():
+    ring = QuotientRing(poly([-1, 0, 1]))  # x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(ZeroDivisionError):
+        ring.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        ring.one / ring.zero
+    with pytest.raises(ValueError):
+        ring.reduce([1, 1]).inverse()
+    with pytest.raises(ValueError):
+        ring.one / ring.reduce([1, 1])
+
+
+def test_constant_residue_hashes_like_its_constant():
+    a = QuotientRing(poly([1, 0, 1])).reduce([3])
+    assert a == 3 and hash(a) == hash(3)
+    assert len({a, 3}) == 1
+    half = QuotientRing(poly([1, 0, 1])).reduce([Fraction(1, 2)])
+    assert len({half, Fraction(1, 2)}) == 1
+
+
+def test_elements_of_different_rings():
+    i = QuotientRing(poly([1, 0, 1])).x()
+    j = QuotientRing(poly([-1, 0, 1])).x()
+    assert i != j
+    with pytest.raises(ValueError):
+        i + j
+    # equal moduli make one ring, whichever instance built it
+    assert i == QuotientRing(poly([1, 0, 1])).x()
+    assert i * QuotientRing(poly([1, 0, 1])).x() == -1

@@ -1,5 +1,6 @@
 """DFT/Parseval on B(mu_n), weighted projective K-theory, and counting."""
 
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from orbk3.cyclotomic import Cyclotomic, root_of_unity
 from orbk3.groups import abelian_character_table, cyclic_group, trivial_character
+from orbk3.polyring import QuotientRing, QuotientRingElement
 from orbk3.toystacks import (
     ChowP23Element,
     GroupRingElement,
@@ -204,3 +206,31 @@ def test_bg_euler_pairing_is_hom_dimension():
             total = total + chi
     # regular representation pairs to 1 with every irreducible
     assert all(bg_euler_pairing(chi, total) == 1 for chi in table)
+
+
+def test_residue_types_share_one_implementation():
+    assert issubclass(Cyclotomic, QuotientRingElement)
+    assert issubclass(GroupRingElement, QuotientRingElement)
+
+
+def test_constant_group_ring_element_hashes_like_its_constant():
+    a = GroupRingElement(3, (2,))
+    assert a == 2 and hash(a) == hash(2)
+    assert len({a, 2, Fraction(2)}) == 1
+
+
+def test_cross_type_arithmetic_raises_type_error():
+    elements = [
+        GroupRingElement(2, (1, 0)),
+        Cyclotomic.one(),
+        root_of_unity(4),
+        QuotientRing([-1, 0, 1]).one,
+    ]
+    for a in elements:
+        for b in elements:
+            if type(a) is type(b):
+                continue
+            assert a != b
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(a, b)

@@ -1,16 +1,19 @@
 """Finite groups via Cayley tables, conjugacy data, and character theory.
 
-Character values live in Q(zeta_E) where E is the exponent of the group, so
-inner products and invariant dimensions come out exact.  Only abelian
-character tables are computed internally; nonabelian tables (e.g. S3) are
-supplied externally and validated by orthogonality.
+A group computes its conjugacy data (the classes, each element's class, the
+class of each inverse, the element orders) on first use and at most once;
+a character is just a group and one value per class.  Character values live
+in Q(zeta_E) where E is the exponent of the group, so inner products and
+invariant dimensions come out exact.  Only abelian character tables are
+computed internally; nonabelian tables (e.g. S3) are supplied externally
+and checked for one row per class and orthonormality.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic, root_of_unity
@@ -85,15 +88,39 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self.inverses[i]
 
+    # -- conjugacy data, computed on first use ----------------------------
+
+    @cached_property
+    def classes(self) -> tuple[ConjugacyClass, ...]:
+        """Conjugacy partition: identity class first, then by smallest member."""
+        return _conjugacy_partition(self)
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """Index into `classes` of the class of each element."""
+        index = {m: k for k, c in enumerate(self.classes) for m in c.members}
+        return tuple(index[x] for x in range(self.order))
+
+    @cached_property
+    def inverse_class(self) -> tuple[int, ...]:
+        """Index of the class of g^{-1} for the class of each representative g."""
+        return tuple(self.class_of[self.inverses[c.representative]] for c in self.classes)
+
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        orders = []
+        for i in range(self.order):
+            k, cur = 1, i
+            while cur != self.identity:
+                cur, k = self.cayley[cur][i], k + 1
+            orders.append(k)
+        return tuple(orders)
+
     def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity:
-            cur = self.mul(cur, i)
-            k += 1
-        return k
+        return self.element_orders[i]
 
     def exponent(self) -> int:
-        return lcm(*(self.element_order(i) for i in range(self.order)))
+        return lcm(*self.element_orders)
 
     def is_abelian(self) -> bool:
         return all(
@@ -170,27 +197,22 @@ class ConjugacyClass:
 
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
-    """Conjugacy partition: identity class first, then by smallest member."""
-    seen = set()
-    classes = []
+    """The conjugacy classes of g, computed once per group (see FiniteGroup.classes)."""
+    return g.classes
+
+
+def _conjugacy_partition(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
+    seen, classes = set(), []
     for rep in range(g.order):
         if rep in seen:
             continue
         members = sorted({g.mul(g.mul(h, rep), g.inv(h)) for h in range(g.order)})
         seen.update(members)
-        centralizer = g.order // len(members)
-        classes.append(ConjugacyClass(members[0], tuple(members), centralizer))
+        classes.append(ConjugacyClass(members[0], tuple(members), g.order // len(members)))
     classes.sort(key=lambda c: (c.representative != g.identity, c.members[0]))
     for c in classes:
         assert len(c.members) * c.centralizer_order == g.order
     return tuple(classes)
-
-
-def class_index_of(classes, element: int) -> int:
-    for i, c in enumerate(classes):
-        if element in c.members:
-            return i
-    raise GroupError(f"element {element} not in any class")
 
 
 class Character:
@@ -198,14 +220,13 @@ class Character:
 
     def __init__(self, group: FiniteGroup, values):
         self.group = group
-        self.classes = conjugacy_classes(group)
         vals = tuple(Cyclotomic.coerce(v) for v in values)
-        if len(vals) != len(self.classes):
+        if len(vals) != len(group.classes):
             raise GroupError("one value per conjugacy class required")
         self.values = vals
 
     def value_at_element(self, element: int) -> Cyclotomic:
-        return self.values[class_index_of(self.classes, element)]
+        return self.values[self.group.class_of[element]]
 
     def degree(self) -> Cyclotomic:
         return self.values[0]
@@ -230,8 +251,7 @@ class Character:
 
     def dual(self) -> "Character":
         """chi^vee(g) = chi(g^{-1}); equals conjugation for genuine characters."""
-        vals = [self.value_at_element(self.group.inv(c.representative)) for c in self.classes]
-        return Character(self.group, vals)
+        return Character(self.group, [self.values[k] for k in self.group.inverse_class])
 
     def __eq__(self, other) -> bool:
         return (
@@ -245,12 +265,11 @@ class Character:
 
 
 def trivial_character(g: FiniteGroup) -> Character:
-    return Character(g, [1] * len(conjugacy_classes(g)))
+    return Character(g, [1] * len(g.classes))
 
 
 def regular_character(g: FiniteGroup) -> Character:
-    classes = conjugacy_classes(g)
-    return Character(g, [g.order if c.representative == g.identity else 0 for c in classes])
+    return Character(g, [g.order if c.representative == g.identity else 0 for c in g.classes])
 
 
 def abelian_character_table(g: FiniteGroup) -> tuple[Character, ...]:
@@ -274,15 +293,10 @@ def abelian_character_table(g: FiniteGroup) -> tuple[Character, ...]:
             cur = g.mul(cur, gen)
             k += 1
         anchor = cur  # gen^k, inside the current subgroup
-        new_subgroup = []
-        power = g.identity
-        powers = []
-        for _ in range(k):
-            powers.append(power)
-            power = g.mul(power, gen)
-        for h in subgroup:
-            for p in powers:
-                new_subgroup.append(g.mul(h, p))
+        powers = [g.identity]
+        for _ in range(k - 1):
+            powers.append(g.mul(powers[-1], gen))
+        new_subgroup = [g.mul(h, p) for h in subgroup for p in powers]
         new_chars = []
         for chi in chars:
             b = chi[anchor]
@@ -294,26 +308,16 @@ def abelian_character_table(g: FiniteGroup) -> tuple[Character, ...]:
                 a = (a0 + t * step) % e
                 ext = dict(chi)
                 for h in subgroup:
-                    cur = h
-                    exp_pow = 0
-                    for p in powers:
-                        ext[g.mul(h, p)] = (chi[h] + exp_pow) % e
-                        exp_pow += a
+                    for j, p in enumerate(powers):
+                        ext[g.mul(h, p)] = (chi[h] + j * a) % e
                 new_chars.append(ext)
-        subgroup = new_subgroup
-        chars = new_chars
-    classes = conjugacy_classes(g)
-    table = []
-    for chi in chars:
-        vals = [root_of_unity(e, chi[c.representative]) for c in classes]
-        table.append(Character(g, vals))
+        subgroup, chars = new_subgroup, new_chars
+    table = [
+        Character(g, [root_of_unity(e, chi[c.representative]) for c in g.classes]) for chi in chars
+    ]
     # deterministic order: by exponent vector over class representatives
-    table.sort(key=lambda ch: tuple(chi_sort_key(ch)))
+    table.sort(key=lambda ch: tuple(tuple(c.coeffs) for c in ch.values))
     return tuple(table)
-
-
-def chi_sort_key(ch: Character):
-    return tuple(tuple(c.coeffs) for c in ch.values)
 
 
 def char_inner_product(chi: Character, psi: Character) -> Fraction:
@@ -321,9 +325,8 @@ def char_inner_product(chi: Character, psi: Character) -> Fraction:
     chi._check(psi)
     g = chi.group
     total = Cyclotomic.zero()
-    for i, c in enumerate(chi.classes):
-        inv_val = chi.value_at_element(g.inv(c.representative))
-        total = total + inv_val * psi.values[i] * Fraction(1, c.centralizer_order)
+    for c, k, value in zip(g.classes, g.inverse_class, psi.values):
+        total = total + chi.values[k] * value * Fraction(1, c.centralizer_order)
     return total.as_rational()
 
 
@@ -340,8 +343,8 @@ def char_inner_product_elementwise(chi: Character, psi: Character) -> Fraction:
 def invariant_dimension(chi: Character) -> Fraction:
     """dim V^G = (1/|G|) sum_g chi(g); must be a non-negative integer."""
     total = Cyclotomic.zero()
-    for i, c in enumerate(chi.classes):
-        total = total + chi.values[i] * len(c.members)
+    for c, value in zip(chi.group.classes, chi.values):
+        total = total + value * len(c.members)
     dim = (total * Fraction(1, chi.group.order)).as_rational()
     if dim.denominator != 1 or dim < 0:
         raise GroupError(f"invariant dimension {dim} is not a non-negative integer")
@@ -349,6 +352,8 @@ def invariant_dimension(chi: Character) -> Fraction:
 
 
 def character_table_to_json(table) -> dict:
+    if not table:
+        raise GroupError("a character table has at least one character")
     group = table[0].group
     return {
         "group": group.to_json(),
@@ -357,6 +362,9 @@ def character_table_to_json(table) -> dict:
 
 
 def character_table_from_json(data: dict) -> tuple[Character, ...]:
+    for key in ("group", "characters"):
+        if not isinstance(data, dict) or key not in data:
+            raise GroupError(f"character table descriptor missing '{key}'")
     group = FiniteGroup.from_json(data["group"])
     table = tuple(
         Character(group, [parse_cyclotomic(s) for s in row])
@@ -367,7 +375,9 @@ def character_table_from_json(data: dict) -> tuple[Character, ...]:
 
 
 def validate_orthogonality(table) -> None:
-    """Row orthogonality check for externally supplied tables."""
+    """Check an externally supplied table: one row per conjugacy class, orthonormal rows."""
+    if not table or len(table) != len(table[0].group.classes):
+        raise GroupError("a character table needs exactly one row per conjugacy class")
     for i, chi in enumerate(table):
         for j, psi in enumerate(table):
             expected = Fraction(1 if i == j else 0)
@@ -376,8 +386,3 @@ def validate_orthogonality(table) -> None:
                 raise GroupError(
                     f"character table fails orthogonality at ({i},{j}): {got}"
                 )
-
-
-def load_group(path: str) -> FiniteGroup:
-    with open(path) as f:
-        return FiniteGroup.from_json(json.load(f))

@@ -8,7 +8,6 @@ smooth irreducible symplectic manifolds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -247,8 +246,3 @@ def hypotheses_at_degree(v: MukaiVector, d: int, generic: bool) -> HypothesisRep
         main_theorem_hypotheses=main,
         smoothness_hypotheses=smooth,
     )
-
-
-def load_lattice(path: str) -> PicardLattice:
-    with open(path) as f:
-        return PicardLattice.from_json(json.load(f))

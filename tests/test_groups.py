@@ -1,12 +1,16 @@
 """Group, conjugacy, and character-theory tests."""
 
+import json
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbk3.groups as groups_module
 from orbk3.cyclotomic import root_of_unity
 from orbk3.groups import (
     Character,
@@ -26,6 +30,7 @@ from orbk3.groups import (
     trivial_character,
     validate_orthogonality,
 )
+from orbk3.inertia import preset_cyclic
 
 ABELIAN_GROUPS = [
     cyclic_group(1),
@@ -262,3 +267,148 @@ def test_generator_associativity_check_matches_triple_loop(group):
     if n >= 4:
         # some perturbed table reaches the associativity check and fails it
         assert any(_identity_and_inverses(t) and not _accepted(t) for t in tables)
+
+
+# -- conjugacy data is computed once per group and matches brute force ------
+
+
+def _relabelled(g: FiniteGroup, seed: int) -> FiniteGroup:
+    perm = random.Random(seed).sample(range(g.order), g.order)
+    return FiniteGroup(_relabel([list(row) for row in g.cayley], perm))
+
+
+CLASS_DATA_GROUPS = SMALL_GROUPS + [
+    _relabelled(g, 10 * i + k) for i, g in enumerate(ABELIAN_GROUPS[2:]) for k in range(2)
+] + [_relabelled(direct_product(cyclic_group(3), cyclic_group(6)), 99)]
+
+
+def _brute_class_data(table):
+    """Classes, inverse classes and element orders straight from a Cayley table."""
+    n = len(table)
+    e = next(x for x in range(n) if all(table[x][y] == y for y in range(n)))
+    inv = [next(y for y in range(n) if table[x][y] == e) for x in range(n)]
+    conj = [frozenset(table[table[h][x]][inv[h]] for h in range(n)) for x in range(n)]
+    orders = []
+    for x in range(n):
+        k, cur = 1, x
+        while cur != e:
+            cur, k = table[cur][x], k + 1
+        orders.append(k)
+    exponent = next(m for m in range(1, n + 1) if all(m % k == 0 for k in orders))
+    return conj, inv, orders, exponent
+
+
+@pytest.mark.parametrize(
+    "g", CLASS_DATA_GROUPS, ids=[f"{i}-order{g.order}" for i, g in enumerate(CLASS_DATA_GROUPS)]
+)
+def test_class_data_matches_brute_force(g):
+    conj, inv, orders, exponent = _brute_class_data(g.cayley)
+    classes = conjugacy_classes(g)
+    assert classes is conjugacy_classes(g) is g.classes
+    assert classes[0].members == (g.identity,)
+    for x in range(g.order):
+        # the element -> class index picks the class that is x's conjugacy class
+        assert set(classes[g.class_of[x]].members) == conj[x]
+        assert g.element_order(x) == orders[x]
+    for k, c in enumerate(classes):
+        assert g.class_of[c.representative] == k
+        assert inv[c.representative] in classes[g.inverse_class[k]].members
+    assert g.element_orders == tuple(orders)
+    assert g.exponent() == exponent
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_model_classes_are_the_groups_classes(n):
+    model = preset_cyclic(n)
+    assert model.classes is conjugacy_classes(model.group)
+
+
+def test_partition_computed_once_per_group(monkeypatch):
+    calls = []
+    partition = groups_module._conjugacy_partition
+
+    def counting(g):
+        calls.append(g)
+        return partition(g)
+
+    monkeypatch.setattr(groups_module, "_conjugacy_partition", counting)
+    g = direct_product(cyclic_group(2), cyclic_group(4))
+    table = abelian_character_table(g)
+    chi, psi = table[3], table[5]
+    assert (chi * psi).dual() + chi * 2 == (chi * psi).dual() + 2 * chi
+    assert char_inner_product(chi.dual(), psi) == char_inner_product_elementwise(chi.dual(), psi)
+    assert invariant_dimension(regular_character(g) + trivial_character(g)) == 2
+    assert calls == [g]
+    # a second group computes its own partition, once
+    s3_table = s3_character_table()
+    validate_orthogonality(s3_table)
+    assert calls == [g, s3_table[0].group]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _relabelled(direct_product(cyclic_group(2), cyclic_group(30)), 7),
+        cyclic_group(60),
+    ],
+    ids=["relabelled-Z2xZ30", "Z60"],
+)
+def test_large_table_gram_rows_are_identity(g):
+    # The full 60x60 Gram matrix costs minutes at 15-30 ms per pairing, so
+    # this checks the Gram row of a character of maximal order, which is not
+    # its own dual, under both forms.
+    table = abelian_character_table(g)
+    assert len(table) == g.order == 60
+    # a linear character of order m takes exactly the m values of mu_m
+    chi = next(ch for ch in table if len(set(ch.values)) == g.exponent())
+    assert chi.dual() != chi
+    for pairing in (char_inner_product, char_inner_product_elementwise):
+        assert [pairing(chi, psi) for psi in table] == [int(psi == chi) for psi in table]
+
+
+@pytest.mark.parametrize("g", [cyclic_group(12), direct_product(cyclic_group(2), cyclic_group(6))])
+def test_small_table_full_gram_matrix_is_identity(g):
+    table = abelian_character_table(_relabelled(g, 5))
+    for pairing in (char_inner_product, char_inner_product_elementwise):
+        gram = [[pairing(chi, psi) for psi in table] for chi in table]
+        assert gram == [[int(i == j) for j in range(len(table))] for i in range(len(table))]
+
+
+def test_character_table_json_is_unchanged():
+    expected = json.loads((Path(__file__).parent / "data" / "character_tables.json").read_text())
+    assert character_table_to_json(abelian_character_table(cyclic_group(12))) == expected["cyclic_12"]
+    z2_z6 = direct_product(cyclic_group(2), cyclic_group(6))
+    assert character_table_to_json(abelian_character_table(z2_z6)) == expected["c2_x_c6"]
+
+
+# -- externally supplied tables must be complete ------------------------------
+
+
+def test_incomplete_table_is_rejected():
+    g = symmetric_group_s3()
+    one_row = (trivial_character(g),)
+    with pytest.raises(GroupError, match="one row per conjugacy class"):
+        validate_orthogonality(one_row)
+    with pytest.raises(GroupError, match="one row per conjugacy class"):
+        character_table_from_json(character_table_to_json(one_row))
+    with pytest.raises(GroupError):
+        validate_orthogonality(())
+
+
+def test_empty_table_is_rejected():
+    data = character_table_to_json(s3_character_table())
+    data["characters"] = []
+    with pytest.raises(GroupError):
+        character_table_from_json(data)
+    with pytest.raises(GroupError):
+        character_table_to_json(())
+
+
+@pytest.mark.parametrize("key", ["group", "characters"])
+def test_table_descriptor_missing_key_is_rejected(key):
+    data = character_table_to_json(s3_character_table())
+    del data[key]
+    with pytest.raises(GroupError, match=key):
+        character_table_from_json(data)
+    with pytest.raises(GroupError):
+        character_table_from_json([])

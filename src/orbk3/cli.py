@@ -14,8 +14,9 @@ import sys
 
 from . import __version__
 from .cyclotomic import ExactnessError
+from .groups import GroupError
 from .hilbert import HilbertError, enumerate_mu2
-from .hrr import BUILTIN_CLASSES, euler_pairing, load_class
+from .hrr import BUILTIN_CLASSES, SectorMismatchError, euler_pairing, load_class
 from .inertia import (
     IdentityError,
     ModelError,
@@ -42,9 +43,9 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_INTERNAL = 4
 
-# Size limits on integer arguments, so that every accepted argv finishes in a
-# few seconds: the costliest, parseval and wps-euler at their limits, take
-# about 3 s on one core of a 2-vCPU x86-64 machine (Python 3.11).
+# Size limits on integer arguments, so that every accepted argv has a bounded cost.  Wall
+# time at the limits on one core of a 2-vCPU x86-64 machine (Python 3.11): parseval 1.0 s,
+# hilb-enum 0.8 s; wps-euler 1.2 s on 8,8,8,8,8,8,8,8 but 12 s on 5,6,7,8,9,9,10,10.
 PARSEVAL_MAX_N = 12
 PARSEVAL_MAX_TRIALS = 100
 HILB_MAX_LENGTH = 6
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
     except IdentityError as exc:
         print(f"model integrity failure: {exc} (residual {exc.value - 1})", file=sys.stderr)
         return EXIT_MODEL
-    except (ModelError, LatticeError, HilbertError, ToyStackError) as exc:
+    except (ModelError, GroupError, SectorMismatchError, LatticeError, HilbertError, ToyStackError) as exc:
         # out-of-range presets and malformed descriptors are usage errors;
         # HilbertError cross-check failures are internal
         if isinstance(exc, HilbertError) and "mismatch" in str(exc):

@@ -208,8 +208,16 @@ def format_cyclotomic(a: Cyclotomic) -> str:
 
 
 def parse_cyclotomic(text: str) -> Cyclotomic:
-    """Inverse of format_cyclotomic; also accepts bare rationals like `3/2`."""
-    text = text.strip()
+    """Inverse of format_cyclotomic; also accepts bare rationals like `3/2`; else ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"cyclotomic value must be a string, got {type(text).__name__}")
+    try:
+        return _parse_cyclotomic(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _parse_cyclotomic(text: str) -> Cyclotomic:
     m = re.match(r"^c\[(\d+)\]:\s*(.*)$", text)
     if m is None:
         return Cyclotomic.from_rational(Fraction(text))

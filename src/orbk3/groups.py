@@ -365,11 +365,15 @@ def character_table_from_json(data: dict) -> tuple[Character, ...]:
     for key in ("group", "characters"):
         if not isinstance(data, dict) or key not in data:
             raise GroupError(f"character table descriptor missing '{key}'")
+    rows = data["characters"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise GroupError("'characters' must be a list of lists")
     group = FiniteGroup.from_json(data["group"])
-    table = tuple(
-        Character(group, [parse_cyclotomic(s) for s in row])
-        for row in data["characters"]
-    )
+    try:
+        values = [[parse_cyclotomic(s) for s in row] for row in rows]
+    except ValueError as exc:
+        raise GroupError(f"bad character value: {exc}") from exc
+    table = tuple(Character(group, row) for row in values)
     validate_orthogonality(table)
     return table
 

@@ -46,12 +46,15 @@ class EquivariantClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "EquivariantClass":
-        if not isinstance(data, dict) or "mukai" not in data or "twisted" not in data:
-            raise SectorMismatchError("class descriptor needs 'mukai' and 'twisted'")
-        return cls(
-            MukaiVector.from_json(data["mukai"]),
-            tuple(parse_cyclotomic(s) for s in data["twisted"]),
-        )
+        if not isinstance(data, dict) or "mukai" not in data or not isinstance(data.get("twisted"), list):
+            raise SectorMismatchError("class descriptor needs 'mukai' and a 'twisted' list")
+        twisted = []
+        for i, s in enumerate(data["twisted"]):
+            try:
+                twisted.append(parse_cyclotomic(s))
+            except ValueError as exc:
+                raise SectorMismatchError(f"twisted entry {i} ({s!r}): {exc}") from exc
+        return cls(MukaiVector.from_json(data["mukai"]), tuple(twisted))
 
 
 @dataclass(frozen=True)

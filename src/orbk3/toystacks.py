@@ -15,7 +15,7 @@ from math import comb
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
-from .polyring import QuotientRing, QuotientRingElement, monomial, poly, poly_mul
+from .polyring import QuotientRing, QuotientRingElement, monomial, poly, poly_fold, poly_mul
 
 
 class ToyStackError(ValueError):
@@ -55,16 +55,10 @@ class GroupRingElement(QuotientRingElement):
 
 
 def dft_inverse(f: GroupRingElement) -> tuple[Cyclotomic, ...]:
-    """The twisted-character vector of f: f_check(k) = sum_j zeta_n^{jk} f(j)."""
+    """The twisted-character vector of f: f_check(k) = sum_j zeta_n^{jk} f(j),
+    which is f(x^k) mod x^n - 1, reduced once mod Phi_n (a divisor of x^n - 1)."""
     n = f.n
-    out = []
-    for k in range(n):
-        acc = Cyclotomic.zero(n)
-        for j, c in enumerate(f.coeffs):
-            if c != 0:
-                acc = acc + root_of_unity(n, (j * k) % n) * c
-        out.append(acc)
-    return tuple(out)
+    return tuple(Cyclotomic(n, poly_fold(f.coeffs, k, n)) for k in range(n))
 
 
 def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
@@ -74,6 +68,8 @@ def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
         raise ToyStackError("vector length mismatch")
     if n is None:
         n = len(a)
+    if n < 1:
+        raise ToyStackError("n must be positive")
     acc = Cyclotomic.zero()
     for ai, bi in zip(a, b):
         acc = acc + Cyclotomic.coerce(ai).conjugate() * Cyclotomic.coerce(bi)

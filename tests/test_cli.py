@@ -128,6 +128,33 @@ def test_schema_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+MALFORMED_FILES = {
+    "cayley-not-a-group": ("--model", "group", {"cayley": [[0, 1], [1, 1]]}),
+    "too-few-twisted": ("--class", "twisted", ["1"]),
+    "zero-field-order": ("--class", "twisted", ["c[0]: 1"] * 8),
+    "non-string-entry": ("--class", "twisted", [5] * 8),
+    "zero-denominator": ("--class", "twisted", ["1/0"] * 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_model_and_class_files_exit_2(capsys, tmp_path, case):
+    from orbk3.hrr import tangent_bundle_class
+
+    flag, key, value = MALFORMED_FILES[case]
+    model = preset_cyclic(2)
+    data = model.to_json() if flag == "--model" else tangent_bundle_class(model).to_json()
+    assert len(model.sectors) == 8
+    data[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    other = ["--class", "OX"] if flag == "--model" else ["--preset", "cyclic:2"]
+    code, _, err = run(capsys, "dim", flag, str(path), *other)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_parseval_cli(capsys):
     code, out, _ = run(capsys, "parseval", "--n", "8", "--trials", "20", "--seed", "1")
     assert code == 0

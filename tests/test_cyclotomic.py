@@ -144,6 +144,12 @@ def test_parse_rejects_nonpositive_field_order():
         parse_cyclotomic("c[0]: 1")
 
 
+@pytest.mark.parametrize("value", [5, None, ["1"], "1/0", "c[4]: 1/0*z", "c[3]: 0/0"])
+def test_parse_rejects_non_strings_and_zero_denominators(value):
+    with pytest.raises(ValueError):
+        parse_cyclotomic(value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_conjugate_and_embed_match_root_sums(data):

@@ -412,3 +412,11 @@ def test_table_descriptor_missing_key_is_rejected(key):
         character_table_from_json(data)
     with pytest.raises(GroupError):
         character_table_from_json([])
+
+
+@pytest.mark.parametrize("rows", [5, [5], [[5]], ["c[1]: 1"], [["1/0"]], [["c[0]: 1"]]])
+def test_malformed_table_rows_raise_group_error(rows):
+    data = character_table_to_json(abelian_character_table(cyclic_group(1)))
+    data["characters"] = rows
+    with pytest.raises(GroupError):
+        character_table_from_json(data)

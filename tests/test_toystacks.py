@@ -81,6 +81,44 @@ def test_parseval_property(n, data):
     assert parseval_check(f, g)
 
 
+def _defining_sum(f):
+    """sum_j f_j zeta_n^{jk} for each k, one root-of-unity term at a time."""
+    n = f.n
+    out = []
+    for k in range(n):
+        acc = Cyclotomic.zero(n)
+        for j, c in enumerate(f.coeffs):
+            acc = acc + root_of_unity(n, j * k) * c
+        out.append(acc)
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_dft_matches_defining_sum(n, data):
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+    f = GroupRingElement(n, tuple(data.draw(coeff) for _ in range(n)))
+    for g in (f, GroupRingElement(n, ())):
+        got, want = dft_inverse(g), _defining_sum(g)
+        assert got == want
+        assert [(v.L, v.coeffs) for v in got] == [(v.L, v.coeffs) for v in want]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_parseval_property_fractions(n, data):
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+    f = GroupRingElement(n, tuple(data.draw(coeff) for _ in range(n)))
+    g = GroupRingElement(n, tuple(data.draw(coeff) for _ in range(n)))
+    assert parseval_check(f, g)
+
+
+@pytest.mark.parametrize("a, b, n", [((), (), None), ((1,), (1,), 0), ((1, 2), (3, 4), -2)])
+def test_weighted_inner_product_rejects_nonpositive_n(a, b, n):
+    with pytest.raises(ToyStackError, match="n must be positive"):
+        weighted_inner_product(a, b, n)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 10), st.data())
 def test_group_ring_product_is_cyclic_convolution(n, data):

@@ -15,13 +15,13 @@ import sys
 from . import __version__
 from .cyclotomic import ExactnessError
 from .groups import GroupError
-from .hilbert import HilbertError, enumerate_mu2
-from .hrr import BUILTIN_CLASSES, SectorMismatchError, euler_pairing, load_class
+from .hilbert import CrossCheckError, HilbertError, enumerate_mu2
+from .hrr import BUILTIN_CLASSES, EquivariantClass, SectorMismatchError, euler_pairing
 from .inertia import (
     IdentityError,
+    K3GModel,
     ModelError,
     fixed_points_closed_form,
-    load_model,
     preset_cyclic,
     solve_fixed_points_cyclic,
     trivial_model,
@@ -62,14 +62,28 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in a file; UsageError if it cannot be read or decoded."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, RecursionError, ValueError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; UsageError otherwise."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}") from exc
+
+
 def _load_preset_or_model(args):
     if args.model and args.preset:
         raise UsageError("give either --model or --preset, not both")
     if args.model:
-        try:
-            return load_model(args.model, validate=not args.no_validate)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read model: {exc}") from exc
+        return K3GModel.from_json(_read_json(args.model, "model"), validate=not args.no_validate)
     spec = args.preset or "cyclic:2"
     if spec == "trivial":
         return trivial_model()
@@ -112,10 +126,7 @@ def cmd_dim(args) -> int:
     if args.klass in BUILTIN_CLASSES:
         cls = BUILTIN_CLASSES[args.klass](model)
     else:
-        try:
-            cls = load_class(args.klass)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read class: {exc}") from exc
+        cls = EquivariantClass.from_json(_read_json(args.klass, "class"))
     pairing = euler_pairing(model, cls, cls)
     dim = 2 - pairing
     _emit(
@@ -169,10 +180,7 @@ def cmd_parseval(args) -> int:
 
 
 def cmd_wps_euler(args) -> int:
-    try:
-        weights = tuple(int(w) for w in args.weights.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad weight list {args.weights!r}") from exc
+    weights = _int_list("--weights", args.weights)
     if len(weights) > WPS_MAX_WEIGHTS or sum(weights) > WPS_MAX_WEIGHT_SUM:
         raise UsageError(
             f"at most {WPS_MAX_WEIGHTS} weights with sum at most {WPS_MAX_WEIGHT_SUM}"
@@ -207,11 +215,15 @@ def cmd_bg_count(args) -> int:
 
 
 def cmd_check_hypotheses(args) -> int:
-    c1 = tuple(int(x) for x in args.c1.split(",")) if args.c1 else ()
+    c1 = _int_list("--c1", args.c1) if args.c1 else ()
     if args.gram:
-        gram = json.loads(args.gram)
-        ample = tuple(int(x) for x in args.ample.split(",")) if args.ample else (1,) * len(gram)
-        lattice = PicardLattice(gram, ample)
+        try:
+            gram = json.loads(args.gram)
+            rank = len(gram)
+        except (RecursionError, TypeError, ValueError) as exc:
+            raise UsageError(f"--gram must be a JSON matrix, got {args.gram!r}: {exc}") from exc
+        ample = _int_list("--ample", args.ample) if args.ample else (1,) * rank
+        lattice = PicardLattice.from_json({"gram": gram, "ample": ample})
         v = MukaiVector(args.r, c1 if c1 else lattice.zero_class(), args.s)
         report = check_hypotheses(lattice, v, generic=args.generic)
     else:
@@ -312,17 +324,13 @@ def main(argv=None) -> int:
     except IdentityError as exc:
         print(f"model integrity failure: {exc} (residual {exc.value - 1})", file=sys.stderr)
         return EXIT_MODEL
-    except (ModelError, GroupError, SectorMismatchError, LatticeError, HilbertError, ToyStackError) as exc:
-        # out-of-range presets and malformed descriptors are usage errors;
-        # HilbertError cross-check failures are internal
-        if isinstance(exc, HilbertError) and "mismatch" in str(exc):
-            print(f"internal consistency failure: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExactnessError as exc:
+    except (CrossCheckError, ExactnessError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except (ModelError, GroupError, SectorMismatchError, LatticeError, HilbertError, ToyStackError) as exc:
+        # out-of-range presets and malformed descriptors are usage errors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -199,6 +199,12 @@ def sum_inverse_one_minus_cos(n: int) -> Fraction:
     return total.as_rational()
 
 
+# Largest field order accepted in `c[L]: ...` text, so that parsing untrusted input has a
+# bounded cost: lcm(2..8), the ambient field of any symplectic K3 model (orders <= 8).
+# Building Phi_840 is the worst case at or below it: 1.7 s on one core of a 2-vCPU
+# x86-64 machine (Python 3.11), against 3 ms for c[24].
+MAX_PARSED_FIELD_ORDER = 840
+
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
 
 
@@ -224,6 +230,8 @@ def _parse_cyclotomic(text: str) -> Cyclotomic:
     L = int(m.group(1))
     if L < 1:
         raise ValueError("field order must be positive")
+    if L > MAX_PARSED_FIELD_ORDER:
+        raise ValueError(f"field order {L} exceeds {MAX_PARSED_FIELD_ORDER}")
     body = m.group(2).strip()
     deg = euler_phi(L)
     coeffs = [Fraction(0)] * deg

@@ -149,9 +149,10 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        if not isinstance(data, dict) or "cayley" not in data:
-            raise GroupError("group descriptor must contain a 'cayley' table")
-        g = cls(data["cayley"], data.get("labels"))
+        try:
+            g = cls(data["cayley"], data.get("labels"))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise GroupError(f"bad group descriptor ({type(exc).__name__}): {exc}") from exc
         if "order" in data and data["order"] != g.order:
             raise GroupError("declared order does not match Cayley table")
         return g

@@ -20,6 +20,10 @@ class HilbertError(ValueError):
     pass
 
 
+class CrossCheckError(HilbertError):
+    """Two independent dimension formulas disagree: an internal inconsistency."""
+
+
 @dataclass(frozen=True)
 class HilbClassMu2:
     """Numerical class (n, m_1..m_8) of an equivariant Hilbert scheme for mu_2."""
@@ -59,7 +63,7 @@ def dim_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> int:
     omv = omv_of_class_mu2(c, model)
     via_pairing = 2 - orbifold_mukai_pairing(model, omv, omv)
     if via_pairing != direct:
-        raise HilbertError(
+        raise CrossCheckError(
             f"dimension mismatch for {c}: quadratic form {direct}, pairing {via_pairing}"
         )
     return direct

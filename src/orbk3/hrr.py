@@ -12,7 +12,6 @@ whenever they are rational (and an ExactnessError otherwise).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,8 +134,3 @@ BUILTIN_CLASSES = {
     "Op": generic_point_class,
     "TX": tangent_bundle_class,
 }
-
-
-def load_class(path: str) -> EquivariantClass:
-    with open(path) as f:
-        return EquivariantClass.from_json(json.load(f))

@@ -13,7 +13,7 @@ exact unit identity
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -51,6 +51,10 @@ def fixed_points_closed_form(n: int) -> int:
     return int(value)
 
 
+# The JSON key of each SectorEntry field, in field order.
+SECTOR_KEYS = ("class", "stabilizer", "eig_order", "eig_exp", "multiplicity")
+
+
 @dataclass(frozen=True)
 class SectorEntry:
     """One orbit family in a twisted sector.
@@ -80,13 +84,7 @@ class SectorEntry:
         return root_of_unity(self.eig_order, self.eig_exp, ambient)
 
     def to_json(self) -> dict:
-        return {
-            "class": self.class_index,
-            "stabilizer": self.stabilizer_order,
-            "eig_order": self.eig_order,
-            "eig_exp": self.eig_exp,
-            "multiplicity": self.multiplicity,
-        }
+        return dict(zip(SECTOR_KEYS, astuple(self)))
 
 
 class K3GModel:
@@ -144,26 +142,13 @@ class K3GModel:
 
     @classmethod
     def from_json(cls, data: dict, validate: bool = True) -> "K3GModel":
-        for key in ("group", "lattice", "sectors"):
-            if not isinstance(data, dict) or key not in data:
-                raise ModelError(f"model descriptor missing '{key}'")
-        group = FiniteGroup.from_json(data["group"])
-        lattice = PicardLattice.from_json(data["lattice"])
-        sectors = []
-        for raw in data["sectors"]:
-            for key in ("class", "stabilizer", "eig_order", "eig_exp", "multiplicity"):
-                if key not in raw:
-                    raise ModelError(f"sector entry missing '{key}'")
-            sectors.append(
-                SectorEntry(
-                    class_index=int(raw["class"]),
-                    stabilizer_order=int(raw["stabilizer"]),
-                    eig_order=int(raw["eig_order"]),
-                    eig_exp=int(raw["eig_exp"]),
-                    multiplicity=int(raw["multiplicity"]),
-                )
-            )
-        return cls(group, sectors, lattice, validate=validate)
+        try:
+            group, lattice = data["group"], data["lattice"]
+            rows = [[int(raw[key]) for key in SECTOR_KEYS] for raw in data["sectors"]]
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ModelError(f"bad model descriptor ({type(exc).__name__}): {exc}") from exc
+        sectors = [SectorEntry(*row) for row in rows]
+        return cls(FiniteGroup.from_json(group), sectors, PicardLattice.from_json(lattice), validate)
 
 
 def load_model(path: str, validate: bool = True) -> K3GModel:

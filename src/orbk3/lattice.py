@@ -8,7 +8,7 @@ smooth irreducible symplectic manifolds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -81,9 +81,10 @@ class PicardLattice:
 
     @classmethod
     def from_json(cls, data: dict) -> "PicardLattice":
-        if not isinstance(data, dict) or "gram" not in data or "ample" not in data:
-            raise LatticeError("lattice descriptor needs 'gram' and 'ample'")
-        lat = cls(data["gram"], data["ample"])
+        try:
+            lat = cls(data["gram"], data["ample"])
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise LatticeError(f"bad lattice descriptor ({type(exc).__name__}): {exc}") from exc
         if "rank" in data and data["rank"] != lat.rank:
             raise LatticeError("declared rank does not match Gram matrix")
         return lat
@@ -132,10 +133,10 @@ class MukaiVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "MukaiVector":
-        for key in ("r", "c1", "s"):
-            if key not in data:
-                raise LatticeError(f"Mukai vector descriptor missing '{key}'")
-        return cls(int(data["r"]), tuple(data["c1"]), int(data["s"]))
+        try:
+            return cls(int(data["r"]), tuple(data["c1"]), int(data["s"]))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise LatticeError(f"bad Mukai vector descriptor ({type(exc).__name__}): {exc}") from exc
 
 
 def mukai_pairing(lattice: PicardLattice, v: MukaiVector, w: MukaiVector) -> int:
@@ -198,17 +199,7 @@ class HypothesisReport:
     smoothness_hypotheses: bool
 
     def to_json(self) -> dict:
-        return {
-            "positive_rank": self.positive_rank,
-            "primitive": self.primitive,
-            "degree": self.degree,
-            "positive_degree": self.positive_degree,
-            "gcd_r_d_is_one": self.gcd_r_d_is_one,
-            "gcd_r_d_s_is_one": self.gcd_r_d_s_is_one,
-            "generic_polarization": self.generic_polarization,
-            "main_theorem_hypotheses": self.main_theorem_hypotheses,
-            "smoothness_hypotheses": self.smoothness_hypotheses,
-        }
+        return asdict(self)
 
 
 def check_hypotheses(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
@@ -104,28 +104,27 @@ def wps_ring(weights) -> QuotientRing:
     return QuotientRing(modulus)
 
 
-def wps_euler_class_tangent(weights) -> QuotientRingElement:
-    """e^K of the tangent bundle: sum_i prod_{j != i} (1 - x^{-a_j})."""
+def _wps_factors(weights) -> tuple[QuotientRing, list[QuotientRingElement]]:
+    """The K-ring of P(weights) and its factors 1 - x^{-a}, one per weight; x is inverted once."""
     weights = tuple(int(a) for a in weights)
     ring = wps_ring(weights)
+    x_inverse = ring.x_inverse()
+    return ring, [ring.one - x_inverse ** a for a in weights]
+
+
+def wps_euler_class_tangent(weights) -> QuotientRingElement:
+    """e^K of the tangent bundle: sum_i prod_{j != i} (1 - x^{-a_j})."""
+    ring, factors = _wps_factors(weights)
     total = ring.zero
-    for i in range(len(weights)):
-        term = ring.one
-        for j, a in enumerate(weights):
-            if j != i:
-                term = term * (ring.one - ring.x_power(-a))
-        total = total + term
+    for i in range(len(factors)):
+        total = total + prod(factors[:i] + factors[i + 1:], start=ring.one)
     return total
 
 
 def wps_relation_element(weights) -> QuotientRingElement:
     """prod_i (1 - x^{-a_i}), which must vanish in the K-ring."""
-    weights = tuple(int(a) for a in weights)
-    ring = wps_ring(weights)
-    prod = ring.one
-    for a in weights:
-        prod = prod * (ring.one - ring.x_power(-a))
-    return prod
+    ring, factors = _wps_factors(weights)
+    return prod(factors, start=ring.one)
 
 
 def projective_space_euler_class(n: int) -> QuotientRingElement:

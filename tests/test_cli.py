@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbk3
-from orbk3 import cli
+from orbk3 import cli, hilbert
 from orbk3.cli import main
+from orbk3.hrr import tangent_bundle_class
 from orbk3.inertia import MAX_SYMPLECTIC_ORDER, SectorEntry, preset_cyclic, K3GModel
 
 
@@ -155,6 +157,93 @@ def test_malformed_model_and_class_files_exit_2(capsys, tmp_path, case):
     assert "Traceback" not in err
 
 
+# Malformed inputs, each of which must exit 2 with an `error:` line.  A file case replaces
+# the value at a key path in the cyclic:2 model or in its TX class (the empty path
+# replaces the whole document); an argv case is appended to `check-hypotheses --r 1 --s 1`.
+MALFORMED_INPUTS = {
+    "sector-class-string": ("--model", ("sectors", 0, "class"), "x"),
+    "sectors-int": ("--model", ("sectors",), 5),
+    "sector-entry-int": ("--model", ("sectors", 0), 5),
+    "cayley-int": ("--model", ("group", "cayley"), 5),
+    "cayley-entry-string": ("--model", ("group", "cayley", 0, 0), "a"),
+    "gram-int": ("--model", ("lattice", "gram"), 5),
+    "model-is-a-list": ("--model", (), [1, 2]),
+    "sector-class-infinite": ("--model", ("sectors", 0, "class"), float("inf")),
+    "mukai-int": ("--class", ("mukai",), 5),
+    "c1-int": ("--class", ("mukai", "c1"), 5),
+    "rank-string": ("--class", ("mukai", "r"), "x"),
+    "rank-infinite": ("--class", ("mukai", "r"), float("inf")),
+    "field-order-100000": ("--class", ("twisted", 0), "c[100000]: 1"),
+    "gram-not-json": ["--gram", "x"],
+    "gram-not-a-matrix": ["--gram", "5"],
+    "gram-entry-string": ["--gram", '[["a"]]'],
+    "gram-entry-infinite": ["--gram", "[[1e400]]"],
+    "ample-not-integers": ["--gram", "[[2]]", "--ample", "x"],
+    "c1-not-integers-with-gram": ["--gram", "[[2]]", "--c1", "x"],
+    "c1-not-integers-without-gram": ["--c1", "x"],
+}
+
+
+def _malformed_argv(case, tmp_path):
+    if isinstance(case, list):
+        return ["check-hypotheses", "--r", "1", "--s", "1", *case]
+    flag, path, value = case
+    model = preset_cyclic(2)
+    data = model.to_json() if flag == "--model" else tangent_bundle_class(model).to_json()
+    if path:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        data = value
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(data))
+    other = ["--class", "OX"] if flag == "--model" else ["--preset", "cyclic:2"]
+    return ["dim", flag, str(file), *other]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
+    code, _, err = run(capsys, *_malformed_argv(MALFORMED_INPUTS[case], tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000], ids=["not-utf8", "too-deep"])
+def test_undecodable_model_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "dim", "--model", str(path), "--class", "OX")
+    assert code == 2
+    assert err.startswith("error: cannot read model")
+
+
+def test_dimension_cross_check_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(hilbert, "orbifold_mukai_pairing", lambda model, v, w: 1000)
+    code, _, err = run(capsys, "hilb-enum", "--length", "2")
+    assert code == 4
+    assert err.startswith("internal consistency failure: dimension mismatch")
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("orbk3 ")]
+
+
+def test_readme_cli_block_is_not_empty():
+    assert len(_readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_examples_run(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out and "Traceback" not in err
+
+
 def test_parseval_cli(capsys):
     code, out, _ = run(capsys, "parseval", "--n", "8", "--trials", "20", "--seed", "1")
     assert code == 0
@@ -277,6 +366,20 @@ def _ints(limit):
     return st.one_of(st.integers(-2, limit + 2), st.integers(-(10**30), 10**30))
 
 
+# Comma-list tokens and flag values, valid and malformed, for the string-valued flags.
+NON_INTEGERS = ["x", "", " ", "1.5", "1e3", "0x10", "--", "9" * 5000]
+INT_LISTS = ["1", "0", "1,0", "2,-1", "16", "3,3,3", "x", "", "1,,2", "1.5", "9" * 5000]
+GRAMS = [
+    "[[16]]", "[[2]]", "[[-2, 1], [1, 0]]", "[[2, 1], [1, 2]]", "[]", "[[1]]", "[[2, 1], [0, 2]]",
+    "[[2], [2]]", "x", "5", "null", '"ab"', '{"a": 1}', '[["a"]]', "[[1e400]]", "[[2.5]]", "[[2]", "[" * 5000,
+]
+
+
+def _optional(flag, values):
+    """Either no flag at all, or the flag with one of the values."""
+    return st.sampled_from([()] + [(flag, v) for v in values])
+
+
 ARGV = st.one_of(
     st.tuples(st.just("fixed-points"), st.just("--order"), _ints(MAX_SYMPLECTIC_ORDER).map(str)),
     st.tuples(
@@ -292,9 +395,10 @@ ARGV = st.one_of(
     ),
     st.tuples(
         st.just("wps-euler"), st.just("--weights"),
-        st.lists(_ints(cli.WPS_MAX_WEIGHT_SUM // 4), min_size=1, max_size=cli.WPS_MAX_WEIGHTS + 2).map(
-            lambda ws: ",".join(map(str, ws))
-        ),
+        st.lists(
+            st.one_of(_ints(cli.WPS_MAX_WEIGHT_SUM // 4).map(str), st.sampled_from(NON_INTEGERS)),
+            min_size=1, max_size=cli.WPS_MAX_WEIGHTS + 2,
+        ).map(",".join),
     ),
     st.tuples(
         st.just("bg-count"), st.just("--n"), _ints(cli.BG_MAX_N).map(str),
@@ -304,6 +408,12 @@ ARGV = st.one_of(
         st.just("check-hypotheses"), st.just("--r"), _ints(3).map(str),
         st.just("--s"), _ints(3).map(str), st.just("--d"), _ints(3).map(str),
     ),
+    st.tuples(
+        st.just(("check-hypotheses", "--r")), _ints(3).map(lambda r: (str(r),)),
+        st.just(("--s",)), _ints(3).map(lambda s: (str(s),)),
+        _optional("--d", [str(d) for d in range(-3, 4)]),
+        _optional("--gram", GRAMS), _optional("--ample", INT_LISTS), _optional("--c1", INT_LISTS),
+    ).map(lambda parts: sum(parts, ())),
 )
 
 

@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic: worked values and exact field laws."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbk3.cyclotomic import (
+    MAX_PARSED_FIELD_ORDER,
     AmbientFieldError,
     Cyclotomic,
     ExactnessError,
@@ -142,6 +144,20 @@ def test_print_parse_round_trip(data):
 def test_parse_rejects_nonpositive_field_order():
     with pytest.raises(ValueError, match="field order must be positive"):
         parse_cyclotomic("c[0]: 1")
+
+
+def test_parse_rejects_large_field_order_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        parse_cyclotomic(f"c[{MAX_PARSED_FIELD_ORDER + 1}]: 1")
+    with pytest.raises(ValueError, match="exceeds"):
+        parse_cyclotomic("c[100000]: 1")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_accepts_the_largest_field_order():
+    a = parse_cyclotomic(f"c[{MAX_PARSED_FIELD_ORDER}]: 1*z")
+    assert (a.L, a.coeffs[:2]) == (MAX_PARSED_FIELD_ORDER, (0, 1))
 
 
 @pytest.mark.parametrize("value", [5, None, ["1"], "1/0", "c[4]: 1/0*z", "c[3]: 0/0"])

@@ -158,6 +158,27 @@ def test_projective_space_closed_form(n):
     assert wps_euler_class_tangent((1,) * (n + 1)) == projective_space_euler_class(n)
 
 
+@pytest.mark.parametrize("weights", [(2, 3), (1, 1, 2), (1, 2, 3, 4), (3, 5), (2, 2, 2, 2)])
+def test_wps_classes_match_their_defining_products(weights):
+    """Both classes equal their definitions with x^{-a} taken as a fresh power each time."""
+    ring = wps_ring(weights)
+
+    def factors(skip=None):
+        return [ring.one - ring.x_power(-a) for j, a in enumerate(weights) if j != skip]
+
+    euler = ring.zero
+    for i in range(len(weights)):
+        term = ring.one
+        for f in factors(skip=i):
+            term = term * f
+        euler = euler + term
+    relation = ring.one
+    for f in factors():
+        relation = relation * f
+    assert wps_euler_class_tangent(weights).coeffs == euler.coeffs
+    assert wps_relation_element(weights).coeffs == relation.coeffs
+
+
 def test_wps_euler_p23_nonzero():
     euler = wps_euler_class_tangent((2, 3))
     assert not euler.is_zero()

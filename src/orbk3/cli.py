@@ -1,8 +1,16 @@
 """Command-line frontend.
 
 Every number is printed exactly: rationals as p/q, cyclotomic values in the
-`c[L]: ...` format.  Exit codes: 0 success, 2 usage or schema error,
-3 model-integrity (unit identity) failure, 4 internal-consistency failure.
+`c[L]: ...` format.  Each subcommand returns (JSON payload, text) and `main`
+prints one of them.  A subcommand fails by raising; `main` maps the exception
+type to the exit code and one stderr line: 0 success; 2 usage or schema error
+("error: ..."), also for model or class files whose pairing is not rational;
+3 model-integrity (unit identity) failure ("model integrity failure: ...");
+4 internal-consistency failure ("internal consistency failure: ...").
+
+--model and --preset are exclusive.  A class-file entry in Q(zeta_L) is rejected
+when lcm(L, ambient) > max(ambient, 840), ambient being the lcm of the model's
+eigenvalue orders, because the pairing computes in Q(zeta_lcm(L, ambient)).
 """
 
 from __future__ import annotations
@@ -55,13 +63,6 @@ WPS_MAX_WEIGHTS = 8
 WPS_MAX_WEIGHT_SUM = 64
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
-
-
 def _read_json(path: str, what: str):
     """The JSON document in a file; UsageError if it cannot be read or decoded."""
     try:
@@ -80,8 +81,6 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
 
 
 def _load_preset_or_model(args):
-    if args.model and args.preset:
-        raise UsageError("give either --model or --preset, not both")
     if args.model:
         return K3GModel.from_json(_read_json(args.model, "model"), validate=not args.no_validate)
     spec = args.preset or "cyclic:2"
@@ -100,67 +99,66 @@ class UsageError(Exception):
     pass
 
 
+class ConsistencyError(Exception):
+    """An exact identity that holds for every valid input failed."""
+
+
 def _check_range(flag: str, value: int, low: int, high: int) -> None:
     if not low <= value <= high:
         raise UsageError(f"{flag} must be between {low} and {high}, got {value}")
 
 
-def cmd_fixed_points(args) -> int:
+def cmd_fixed_points(args):
     n = args.order
     count = solve_fixed_points_cyclic(n)
     closed = fixed_points_closed_form(n)
     if count != closed:
-        print(f"internal inconsistency: solver {count} != closed form {closed}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise ConsistencyError(f"solver {count} != closed form {closed}")
     residual = validate_identity(preset_cyclic(n))
-    _emit(
-        args,
+    return (
         {"order": n, "fixed_points": count, "identity_residual": str(residual)},
         f"f_{n} = {count} (unit identity evaluates to {residual})",
     )
-    return EXIT_OK
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args):
     model = _load_preset_or_model(args)
-    if args.klass in BUILTIN_CLASSES:
+    builtin = args.klass in BUILTIN_CLASSES
+    if builtin:
         cls = BUILTIN_CLASSES[args.klass](model)
     else:
         cls = EquivariantClass.from_json(_read_json(args.klass, "class"))
-    pairing = euler_pairing(model, cls, cls)
+    try:
+        pairing = euler_pairing(model, cls, cls)
+    except ExactnessError as exc:
+        if builtin and not args.model:
+            raise  # a preset with a built-in class is rational by construction
+        raise UsageError(f"the pairing of this model and class is not rational: {exc}") from exc
     dim = 2 - pairing
-    _emit(
-        args,
+    return (
         {"pairing": str(pairing), "dimension": str(dim)},
         f"<v~^2> = {pairing}\ndim = 2 - <v~^2> = {dim}",
     )
-    return EXIT_OK
 
 
-def cmd_hilb_enum(args) -> int:
+def cmd_hilb_enum(args):
     _check_range("--length", args.length, 0, HILB_MAX_LENGTH)
     rows = enumerate_mu2(args.length)
-    if args.json:
-        print(json.dumps([r.to_json() for r in rows], sort_keys=True))
-    else:
-        print(f"l = {args.length}")
-        for r in rows:
-            dims = ", ".join(map(str, r.dims))
-            print(f"  n = {r.n}: count = {r.count}, dims = [{dims}]")
-    return EXIT_OK
+    lines = [f"l = {args.length}"]
+    for r in rows:
+        dims = ", ".join(map(str, r.dims))
+        lines.append(f"  n = {r.n}: count = {r.count}, dims = [{dims}]")
+    return [r.to_json() for r in rows], "\n".join(lines)
 
 
-def cmd_verify_identity(args) -> int:
-    model = _load_preset_or_model(args)
-    residual = validate_identity(model)
+def cmd_verify_identity(args):
+    residual = validate_identity(_load_preset_or_model(args))
     if residual != 1:
-        print(f"identity FAILED: value {residual}, residual {residual - 1}", file=sys.stderr)
-        return EXIT_MODEL
-    _emit(args, {"identity": "1", "exact": True}, "1 (exact)")
-    return EXIT_OK
+        raise IdentityError(residual)
+    return {"identity": "1", "exact": True}, "1 (exact)"
 
 
-def cmd_parseval(args) -> int:
+def cmd_parseval(args):
     _check_range("--n", args.n, 1, PARSEVAL_MAX_N)
     _check_range("--trials", args.trials, 0, PARSEVAL_MAX_TRIALS)
     rng = random.Random(args.seed)
@@ -171,50 +169,40 @@ def cmd_parseval(args) -> int:
         g = GroupRingElement(n, tuple(rng.randint(-9, 9) for _ in range(n)))
         if not parseval_check(f, g):
             failures += 1
-    payload = {"n": n, "trials": args.trials, "seed": args.seed, "failures": failures}
     if failures:
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return EXIT_INTERNAL
-    _emit(args, payload, f"pass ({args.trials} trials, n = {n}, seed = {args.seed})")
-    return EXIT_OK
+        raise ConsistencyError(
+            f"Parseval failed in {failures} of {args.trials} trials (n = {n}, seed = {args.seed})"
+        )
+    return (
+        {"n": n, "trials": args.trials, "seed": args.seed, "failures": failures},
+        f"pass ({args.trials} trials, n = {n}, seed = {args.seed})",
+    )
 
 
-def cmd_wps_euler(args) -> int:
+def cmd_wps_euler(args):
     weights = _int_list("--weights", args.weights)
     if len(weights) > WPS_MAX_WEIGHTS or sum(weights) > WPS_MAX_WEIGHT_SUM:
         raise UsageError(
             f"at most {WPS_MAX_WEIGHTS} weights with sum at most {WPS_MAX_WEIGHT_SUM}"
         )
-    euler = wps_euler_class_tangent(weights)
+    euler_class = format_poly(wps_euler_class_tangent(weights).residue)
     relation = wps_relation_element(weights)
     if not relation.is_zero():
-        print(f"relation element nonzero: {relation}", file=sys.stderr)
-        return EXIT_INTERNAL
-    _emit(
-        args,
-        {
-            "weights": list(weights),
-            "euler_class": format_poly(euler.residue),
-            "relation_zero": True,
-        },
-        f"e^K(T) = {format_poly(euler.residue)}\nrelation prod(1 - x^-a_i) = 0 (exact)",
+        raise ConsistencyError(f"relation element nonzero: {relation}")
+    return (
+        {"weights": list(weights), "euler_class": euler_class, "relation_zero": True},
+        f"e^K(T) = {euler_class}\nrelation prod(1 - x^-a_i) = 0 (exact)",
     )
-    return EXIT_OK
 
 
-def cmd_bg_count(args) -> int:
+def cmd_bg_count(args):
     _check_range("--n", args.n, 1, BG_MAX_N)
     _check_range("--degree", args.degree, 0, BG_MAX_DEGREE)
     count = bg_moduli_count(args.n, args.degree)
-    _emit(
-        args,
-        {"n": args.n, "degree": args.degree, "count": count},
-        f"l_({args.n},{args.degree}) = {count}",
-    )
-    return EXIT_OK
+    return {"n": args.n, "degree": args.degree, "count": count}, f"l_({args.n},{args.degree}) = {count}"
 
 
-def cmd_check_hypotheses(args) -> int:
+def cmd_check_hypotheses(args):
     c1 = _int_list("--c1", args.c1) if args.c1 else ()
     if args.gram:
         try:
@@ -234,9 +222,7 @@ def cmd_check_hypotheses(args) -> int:
             raise UsageError("--c1 requires --gram")
         report = hypotheses_at_degree(MukaiVector(args.r, (), args.s), args.d, args.generic)
     payload = report.to_json()
-    lines = [f"{key} = {value}" for key, value in payload.items()]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(f"{key} = {value}" for key, value in payload.items())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,57 +232,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="print one JSON document")
+
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, parents=[json_flag])
+        p.set_defaults(func=func)
+        return p
 
     def add_model_args(p):
-        p.add_argument("--model", help="path to a JSON model file")
-        p.add_argument("--preset", help="trivial or cyclic:N (2 <= N <= 8)")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--model", help="path to a JSON model file")
+        source.add_argument("--preset", help="trivial or cyclic:N (2 <= N <= 8)")
         p.add_argument("--no-validate", action="store_true", help="skip the unit-identity check on load")
-        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("fixed-points", help="solve for the fixed-point count f_n")
+    p = command("fixed-points", cmd_fixed_points, "solve for the fixed-point count f_n")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fixed_points)
 
-    p = sub.add_parser("dim", help="orbifold pairing and moduli dimension of a class")
+    p = command("dim", cmd_dim, "orbifold pairing and moduli dimension of a class")
     add_model_args(p)
     p.add_argument("--class", dest="klass", required=True, help="OX, Op, TX, or a JSON class file")
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("hilb-enum", help="enumerate mu_2 equivariant Hilbert classes by length")
+    p = command("hilb-enum", cmd_hilb_enum, "enumerate mu_2 equivariant Hilbert classes by length")
     p.add_argument("--length", type=int, required=True, help=f"0 <= LENGTH <= {HILB_MAX_LENGTH}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_hilb_enum)
 
-    p = sub.add_parser("verify-identity", help="evaluate the unit identity for a model")
+    p = command("verify-identity", cmd_verify_identity, "evaluate the unit identity for a model")
     add_model_args(p)
-    p.set_defaults(func=cmd_verify_identity, no_validate=True)
+    p.set_defaults(no_validate=True)
 
-    p = sub.add_parser("parseval", help="randomized Parseval property check")
+    p = command("parseval", cmd_parseval, "randomized Parseval property check")
     p.add_argument("--n", type=int, required=True, help=f"group order, 1 <= N <= {PARSEVAL_MAX_N}")
     p.add_argument(
         "--trials", type=int, default=100, help=f"0 <= TRIALS <= {PARSEVAL_MAX_TRIALS} (default 100)"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_parseval)
 
-    p = sub.add_parser("wps-euler", help="tangent Euler class of a weighted projective stack")
+    p = command("wps-euler", cmd_wps_euler, "tangent Euler class of a weighted projective stack")
     p.add_argument(
         "--weights",
         required=True,
         help=f"comma-separated positive weights, at most {WPS_MAX_WEIGHTS}, sum <= {WPS_MAX_WEIGHT_SUM}",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_wps_euler)
 
-    p = sub.add_parser("bg-count", help="count classes of given degree on B(mu_n)")
+    p = command("bg-count", cmd_bg_count, "count classes of given degree on B(mu_n)")
     p.add_argument("--n", type=int, required=True, help=f"1 <= N <= {BG_MAX_N}")
     p.add_argument("--degree", type=int, required=True, help=f"0 <= DEGREE <= {BG_MAX_DEGREE}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bg_count)
 
-    p = sub.add_parser("check-hypotheses", help="theorem-hypothesis predicates for a Mukai vector")
+    p = command(
+        "check-hypotheses", cmd_check_hypotheses, "theorem-hypothesis predicates for a Mukai vector"
+    )
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, help="degree (c1 . h), if no lattice is given")
@@ -304,33 +288,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gram", help="Gram matrix as JSON, e.g. [[16]]")
     p.add_argument("--ample", help="comma-separated ample class coordinates")
     p.add_argument("--generic", action="store_true", help="assert the polarization is generic")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_hypotheses)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; print its result or one stderr line, and return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IdentityError as exc:
-        print(f"model integrity failure: {exc} (residual {exc.value - 1})", file=sys.stderr)
+        payload, text = args.func(args)
+    except IdentityError as exc:  # before ModelError, its base class
+        print(
+            f"model integrity failure: unit identity FAILED: value {exc.value}, residual {exc.value - 1}",
+            file=sys.stderr,
+        )
         return EXIT_MODEL
-    except (CrossCheckError, ExactnessError) as exc:
+    except (ConsistencyError, CrossCheckError, ExactnessError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ModelError, GroupError, SectorMismatchError, LatticeError, HilbertError, ToyStackError) as exc:
-        # out-of-range presets and malformed descriptors are usage errors
+    except (UsageError, ModelError, GroupError, SectorMismatchError, LatticeError, HilbertError,
+            ToyStackError) as exc:
+        # bad argument values, out-of-range presets and malformed descriptors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

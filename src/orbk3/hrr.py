@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic
+from .cyclotomic import MAX_PARSED_FIELD_ORDER, Cyclotomic, format_cyclotomic, parse_cyclotomic
 from .inertia import K3GModel
 from .lattice import MukaiVector, mukai_pairing
 
@@ -72,6 +73,12 @@ def orbifold_mukai_vector(model: K3GModel, x: EquivariantClass) -> OrbifoldMukai
         raise SectorMismatchError(
             f"class has {len(x.local_chars)} twisted entries, model has {len(model.sectors)} sectors"
         )
+    # the pairing embeds each entry into Q(zeta_lcm(L, ambient)); bound that field as parsing bounds L
+    ambient = model.ambient_order()
+    limit = max(ambient, MAX_PARSED_FIELD_ORDER)
+    for i, v in enumerate(x.local_chars):
+        if lcm(v.L, ambient) > limit:
+            raise SectorMismatchError(f"twisted entry {i}: lcm({v.L}, {ambient}) exceeds {limit}")
     return OrbifoldMukaiVector(x.mukai, x.local_chars)
 
 

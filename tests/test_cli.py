@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 import orbk3
 from orbk3 import cli, hilbert
 from orbk3.cli import main
-from orbk3.hrr import tangent_bundle_class
+from orbk3.cyclotomic import ExactnessError
+from orbk3.hrr import BUILTIN_CLASSES, tangent_bundle_class
 from orbk3.inertia import MAX_SYMPLECTIC_ORDER, SectorEntry, preset_cyclic, K3GModel
+from orbk3.toystacks import GroupRingElement
 
 
 def run(capsys, *argv):
@@ -431,3 +434,82 @@ def test_argv_fuzz_exit_codes(argv, as_json):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error:" in err.getvalue()
+
+
+def _raise_exactness(*args):
+    raise ExactnessError("not a rational element")
+
+
+# A failed self-check in a subcommand: (name patched in cli, replacement, argv, exit code,
+# stderr prefix).
+CONSISTENCY = "internal consistency failure: "
+FAILURE_BRANCHES = {
+    "fixed-points": ("fixed_points_closed_form", lambda n: -1, ["fixed-points", "--order", "5"], 4, CONSISTENCY),
+    "verify-identity": (
+        "validate_identity", lambda model: Fraction(7, 8), ["verify-identity", "--preset", "cyclic:2"], 3,
+        "model integrity failure: unit identity FAILED",
+    ),
+    "parseval": ("parseval_check", lambda f, g: False, ["parseval", "--n", "3", "--trials", "2"], 4, CONSISTENCY),
+    "wps-euler": (
+        "wps_relation_element", lambda weights: GroupRingElement(1, (1,)), ["wps-euler", "--weights", "1,2"], 4,
+        CONSISTENCY,
+    ),
+    "dim-preset-builtin-irrational": (
+        "euler_pairing", _raise_exactness, ["dim", "--preset", "cyclic:2", "--class", "TX"], 4, CONSISTENCY,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_BRANCHES))
+@pytest.mark.parametrize("as_json", [False, True])
+def test_failed_self_check_prints_one_stderr_line(capsys, monkeypatch, case, as_json):
+    name, replacement, argv, want_code, prefix = FAILURE_BRANCHES[case]
+    monkeypatch.setattr(cli, name, replacement)
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == want_code
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_json_prints_one_document(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out)
+
+
+def test_readme_has_an_example_of_each_subcommand():
+    assert len({argv[0] for argv in _readme_commands()}) == 8
+
+
+@pytest.mark.parametrize("command", [["dim", "--class", "OX"], ["verify-identity"]])
+def test_model_and_preset_are_exclusive(capsys, tmp_path, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(preset_cyclic(2).to_json()))
+    code, out, err = run(capsys, *command, "--model", str(path), "--preset", "cyclic:2")
+    assert code == 2
+    assert out == "" and "error: argument --preset: not allowed with argument --model" in err
+
+
+# A built-in class written to a file with its first twisted entry replaced:
+# (cyclic order, class, entry, exit code).  The pairing embeds an entry of Q(zeta_L) into
+# Q(zeta_lcm(L, ambient)); that order may not exceed max(ambient, 840).
+CLASS_ENTRIES = {
+    "lcm-1678": (2, "TX", "c[839]: 1", 2),
+    "lcm-840": (8, "OX", "c[105]: 1", 0),
+    "irrational-pairing": (5, "OX", "c[5]: 1 + 1*z", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_ENTRIES))
+def test_class_entry_exit_codes(capsys, tmp_path, case):
+    n, klass, entry, want_code = CLASS_ENTRIES[case]
+    data = BUILTIN_CLASSES[klass](preset_cyclic(n)).to_json()
+    data["twisted"][0] = entry
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "dim", "--preset", f"cyclic:{n}", "--class", str(path), "--json")
+    assert code == want_code, err
+    if want_code:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1

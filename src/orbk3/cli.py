@@ -203,23 +203,24 @@ def cmd_bg_count(args):
 
 
 def cmd_check_hypotheses(args):
-    c1 = _int_list("--c1", args.c1) if args.c1 else ()
-    if args.gram:
+    if args.gram is not None:
+        if args.d is not None:
+            raise UsageError("--d excludes --gram: the lattice determines the degree")
         try:
             gram = json.loads(args.gram)
             rank = len(gram)
         except (RecursionError, TypeError, ValueError) as exc:
             raise UsageError(f"--gram must be a JSON matrix, got {args.gram!r}: {exc}") from exc
-        ample = _int_list("--ample", args.ample) if args.ample else (1,) * rank
+        ample = _int_list("--ample", args.ample) if args.ample is not None else (1,) * rank
         lattice = PicardLattice.from_json({"gram": gram, "ample": ample})
-        v = MukaiVector(args.r, c1 if c1 else lattice.zero_class(), args.s)
-        report = check_hypotheses(lattice, v, generic=args.generic)
+        c1 = _int_list("--c1", args.c1) if args.c1 is not None else lattice.zero_class()
+        report = check_hypotheses(lattice, MukaiVector(args.r, c1, args.s), generic=args.generic)
     else:
         # degree supplied directly: c1 is unknown, so primitivity is that of (r, s)
         if args.d is None:
             raise UsageError("give either --gram/--ample/--c1 or --d")
-        if c1:
-            raise UsageError("--c1 requires --gram")
+        if args.c1 is not None or args.ample is not None:
+            raise UsageError("--c1 and --ample require --gram")
         report = hypotheses_at_degree(MukaiVector(args.r, (), args.s), args.d, args.generic)
     payload = report.to_json()
     return payload, "\n".join(f"{key} = {value}" for key, value in payload.items())
@@ -244,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group()
         source.add_argument("--model", help="path to a JSON model file")
         source.add_argument("--preset", help="trivial or cyclic:N (2 <= N <= 8)")
-        p.add_argument("--no-validate", action="store_true", help="skip the unit-identity check on load")
 
     p = command("fixed-points", cmd_fixed_points, "solve for the fixed-point count f_n")
     p.add_argument("--order", type=int, required=True)
 
     p = command("dim", cmd_dim, "orbifold pairing and moduli dimension of a class")
     add_model_args(p)
+    p.add_argument("--no-validate", action="store_true", help="skip the unit-identity check on load")
     p.add_argument("--class", dest="klass", required=True, help="OX, Op, TX, or a JSON class file")
 
     p = command("hilb-enum", cmd_hilb_enum, "enumerate mu_2 equivariant Hilbert classes by length")
@@ -285,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, help="degree (c1 . h), if no lattice is given")
     p.add_argument("--c1", help="comma-separated coordinates (requires --gram)")
-    p.add_argument("--gram", help="Gram matrix as JSON, e.g. [[16]]")
-    p.add_argument("--ample", help="comma-separated ample class coordinates")
+    p.add_argument("--gram", help="Gram matrix as JSON of integers, e.g. [[16]]; excludes --d")
+    p.add_argument("--ample", help="comma-separated ample class coordinates (requires --gram)")
     p.add_argument("--generic", action="store_true", help="assert the polarization is generic")
 
     return parser

@@ -107,8 +107,8 @@ class Cyclotomic(QuotientRingElement):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rational(cls, value, L: int = 1) -> "Cyclotomic":
-        return cls(L, (Fraction(value),))
+    def from_rational(cls, value) -> "Cyclotomic":
+        return cls(1, (Fraction(value),))
 
     @classmethod
     def coerce(cls, value) -> "Cyclotomic":

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import index
 
 from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic, root_of_unity
 
@@ -27,31 +28,23 @@ class FiniteGroup:
     """A finite group presented by its Cayley table.
 
     cayley[i][j] is the index of the product of elements i and j.  The table
-    is validated on construction: closure, identity, inverses, associativity.
+    is validated on construction: its entries are integers, every row and
+    column is a permutation of the elements, there is a two-sided identity,
+    and it is associative.  An associative Latin square with an identity is a
+    group, so the inverse of g is where the identity sits in g's row.
     """
 
     def __init__(self, cayley, labels=None):
-        table = tuple(tuple(row) for row in cayley)
+        table = tuple(tuple(map(index, row)) for row in cayley)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise GroupError("Cayley table must be a nonempty square matrix")
-        if any(not (0 <= v < n) for row in table for v in row):
-            raise GroupError("Cayley table entries out of range")
-        identity = None
-        for e in range(n):
-            if all(table[e][j] == j and table[j][e] == j for j in range(n)):
-                identity = e
-                break
-        if identity is None:
-            raise GroupError("no identity element")
-        inverses = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == identity and table[j][i] == identity:
-                    inverses[i] = j
-                    break
-            if inverses[i] is None:
-                raise GroupError(f"element {i} has no inverse")
+        columns, elements = tuple(zip(*table)), set(range(n))
+        if any(set(line) != elements for line in table + columns):
+            raise GroupError("every row and column of the Cayley table must permute 0..n-1")
+        identity = columns[0].index(0)  # an identity e has e*0 = 0, and only one row does
+        if not table[identity] == columns[identity] == tuple(range(n)):
+            raise GroupError("no two-sided identity element")
         # Light's test: the g with (a*g)*b == a*(g*b) for all a, b are closed under
         # products, so checking a generating set suffices.  Generators are picked
         # greedily; in a group each one at least doubles the subgroup reached,
@@ -77,7 +70,7 @@ class FiniteGroup:
         self.cayley = table
         self.order = n
         self.identity = identity
-        self.inverses = tuple(inverses)
+        self.inverses = tuple(row.index(identity) for row in table)
         self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
         if len(self.labels) != n:
             raise GroupError("label count does not match group order")
@@ -151,7 +144,7 @@ class FiniteGroup:
     def from_json(cls, data: dict) -> "FiniteGroup":
         try:
             g = cls(data["cayley"], data.get("labels"))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise GroupError(f"bad group descriptor ({type(exc).__name__}): {exc}") from exc
         if "order" in data and data["order"] != g.order:
             raise GroupError("declared order does not match Cayley table")

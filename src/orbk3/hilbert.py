@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
+from operator import index
 
 from .hrr import EquivariantClass, OrbifoldMukaiVector, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
@@ -26,15 +27,22 @@ class CrossCheckError(HilbertError):
 
 @dataclass(frozen=True)
 class HilbClassMu2:
-    """Numerical class (n, m_1..m_8) of an equivariant Hilbert scheme for mu_2."""
+    """Numerical class (n, m_1..m_8) of an equivariant Hilbert scheme for mu_2; all integers."""
 
     n: int
     m: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        object.__setattr__(self, "n", index(self.n))
+        object.__setattr__(self, "m", tuple(map(index, self.m)))
         if len(self.m) != 8:
             raise HilbertError("mu_2 class needs exactly 8 orbifold multiplicities")
+
+
+@cache
+def mu2_model() -> K3GModel:
+    """The Nikulin involution (cyclic:2), the model of every mu_2 class."""
+    return preset_cyclic(2)
 
 
 def length_mu2(c: HilbClassMu2) -> int:
@@ -42,26 +50,24 @@ def length_mu2(c: HilbClassMu2) -> int:
     return 2 * c.n + sum(c.m)
 
 
-def omv_of_class_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> OrbifoldMukaiVector:
+def omv_of_class_mu2(c: HilbClassMu2) -> OrbifoldMukaiVector:
     """v~(n, m) = (1, 0, 1 - l, 1 + 4 m_1, ..., 1 + 4 m_8).
 
     Only + (not the 1 - 4 m_i that subtracting basis vectors suggests) fits
     the quadratic dimension formula.
     """
-    model = model or mu2_model()
     ell = length_mu2(c)
     return OrbifoldMukaiVector(
-        MukaiVector(1, model.lattice.zero_class(), 1 - ell),
+        MukaiVector(1, mu2_model().lattice.zero_class(), 1 - ell),
         tuple(1 + 4 * mi for mi in c.m),
     )
 
 
-def dim_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> int:
+def dim_mu2(c: HilbClassMu2) -> int:
     """d = 2(n - sum m_i^2), cross-checked against 2 - <v~(n,m)^2>."""
-    model = model or mu2_model()
     direct = 2 * (c.n - sum(mi * mi for mi in c.m))
-    omv = omv_of_class_mu2(c, model)
-    via_pairing = 2 - orbifold_mukai_pairing(model, omv, omv)
+    omv = omv_of_class_mu2(c)
+    via_pairing = 2 - orbifold_mukai_pairing(mu2_model(), omv, omv)
     if via_pairing != direct:
         raise CrossCheckError(
             f"dimension mismatch for {c}: quadratic form {direct}, pairing {via_pairing}"
@@ -69,13 +75,8 @@ def dim_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> int:
     return direct
 
 
-@cache
-def mu2_model() -> K3GModel:
-    return preset_cyclic(2)
-
-
-def equivariant_class_mu2(c: HilbClassMu2, model: K3GModel | None = None) -> EquivariantClass:
-    omv = omv_of_class_mu2(c, model or mu2_model())
+def equivariant_class_mu2(c: HilbClassMu2) -> EquivariantClass:
+    omv = omv_of_class_mu2(c)
     return EquivariantClass(omv.global_part, omv.twisted)
 
 
@@ -87,7 +88,7 @@ class EnumerationRow:
     n: int
     count: int
     dims: tuple[int, ...]
-    solutions: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    solutions: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def to_json(self) -> dict:
         return {"l": self.length, "n": self.n, "count": self.count, "dims": list(self.dims)}

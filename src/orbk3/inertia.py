@@ -13,9 +13,10 @@ exact unit identity
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 from .cyclotomic import Cyclotomic, inverse_one_minus_re, root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
@@ -61,7 +62,7 @@ class SectorEntry:
 
     eig_order/eig_exp give the eigenvalue zeta_{eig_order}^{eig_exp} of the
     group element's differential on the fixed points; multiplicity counts
-    identical orbits.
+    identical orbits.  All five fields are integers (`operator.index`).
     """
 
     class_index: int  # index into the nontrivial conjugacy classes
@@ -71,6 +72,8 @@ class SectorEntry:
     multiplicity: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, index(getattr(self, f.name)))
         if self.stabilizer_order < 1 or self.multiplicity < 1:
             raise ModelError("stabilizer order and multiplicity must be positive")
         if self.eig_order < 2:
@@ -144,10 +147,9 @@ class K3GModel:
     def from_json(cls, data: dict, validate: bool = True) -> "K3GModel":
         try:
             group, lattice = data["group"], data["lattice"]
-            rows = [[int(raw[key]) for key in SECTOR_KEYS] for raw in data["sectors"]]
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            sectors = [SectorEntry(*(raw[key] for key in SECTOR_KEYS)) for raw in data["sectors"]]
+        except (KeyError, TypeError) as exc:
             raise ModelError(f"bad model descriptor ({type(exc).__name__}): {exc}") from exc
-        sectors = [SectorEntry(*row) for row in rows]
         return cls(FiniteGroup.from_json(group), sectors, PicardLattice.from_json(lattice), validate)
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
-from .polyring import Coeffs, poly, poly_eval, poly_scale, poly_sub
+from .polyring import Coeffs, poly, poly_scale, poly_sub
 
 INFINITE_SLOPE = "infinity"
 
@@ -26,11 +27,12 @@ class PicardLattice:
 
     The Gram matrix must be symmetric with even diagonal (the K3
     intersection form is even) and the ample class must have positive
-    self-intersection.
+    self-intersection.  Entries must be integers (`operator.index`), so a
+    float or numeric string is rejected rather than truncated.
     """
 
     def __init__(self, gram, ample):
-        g = tuple(tuple(int(x) for x in row) for row in gram)
+        g = tuple(tuple(map(index, row)) for row in gram)
         rank = len(g)
         if any(len(row) != rank for row in g):
             raise LatticeError("Gram matrix must be square")
@@ -40,7 +42,7 @@ class PicardLattice:
             for j in range(rank):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        h = tuple(int(x) for x in ample)
+        h = tuple(map(index, ample))
         if len(h) != rank:
             raise LatticeError("ample class length must equal rank")
         self.gram = g
@@ -83,7 +85,7 @@ class PicardLattice:
     def from_json(cls, data: dict) -> "PicardLattice":
         try:
             lat = cls(data["gram"], data["ample"])
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise LatticeError(f"bad lattice descriptor ({type(exc).__name__}): {exc}") from exc
         if "rank" in data and data["rank"] != lat.rank:
             raise LatticeError("declared rank does not match Gram matrix")
@@ -102,14 +104,16 @@ def fermat_quotient_lattice() -> PicardLattice:
 
 @dataclass(frozen=True)
 class MukaiVector:
-    """v = (r, c1, s) with c1 a coordinate vector in a fixed Picard lattice."""
+    """v = (r, c1, s) with c1 a coordinate vector in a fixed Picard lattice; all integers."""
 
     r: int
     c1: tuple[int, ...]
     s: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", tuple(int(x) for x in self.c1))
+        object.__setattr__(self, "r", index(self.r))
+        object.__setattr__(self, "c1", tuple(map(index, self.c1)))
+        object.__setattr__(self, "s", index(self.s))
 
     def dual(self) -> "MukaiVector":
         return MukaiVector(self.r, tuple(-x for x in self.c1), self.s)
@@ -134,8 +138,8 @@ class MukaiVector:
     @classmethod
     def from_json(cls, data: dict) -> "MukaiVector":
         try:
-            return cls(int(data["r"]), tuple(data["c1"]), int(data["s"]))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            return cls(data["r"], data["c1"], data["s"])
+        except (KeyError, TypeError) as exc:
             raise LatticeError(f"bad Mukai vector descriptor ({type(exc).__name__}): {exc}") from exc
 
 
@@ -144,23 +148,13 @@ def mukai_pairing(lattice: PicardLattice, v: MukaiVector, w: MukaiVector) -> int
     return v.r * w.s - lattice.intersect(v.c1, w.c1) + v.s * w.r
 
 
-def is_numerical(p: Coeffs, window: int = 3) -> bool:
-    """Integrality of p at integers, checked on -window..window."""
-    return all(poly_eval(p, z).denominator == 1 for z in range(-window, window + 1))
-
-
 def hilbert_polynomial(lattice: PicardLattice, v: MukaiVector) -> Coeffs:
-    """P(z) = r (h^2)/2 z^2 + (c1 . h) z + r + s for the fixed polarization."""
-    p = poly(
-        [
-            Fraction(v.r + v.s),
-            Fraction(lattice.degree(v.c1)),
-            Fraction(v.r * lattice.h_squared, 2),
-        ]
-    )
-    if not is_numerical(p):
-        raise LatticeError(f"Hilbert polynomial is not numerical: {p}")
-    return p
+    """P(z) = r (h^2)/2 z^2 + (c1 . h) z + r + s for the fixed polarization.
+
+    Every coefficient is an integer, so P is numerical: the form is even
+    (PicardLattice rejects an odd diagonal), hence h^2 is even.
+    """
+    return poly([v.r + v.s, lattice.degree(v.c1), v.r * lattice.h_squared // 2])
 
 
 def reduced_hilbert_polynomial(p: Coeffs) -> Coeffs:

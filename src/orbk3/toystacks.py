@@ -45,8 +45,8 @@ class GroupRingElement(QuotientRingElement):
         return self.ring.degree
 
     @classmethod
-    def monomial(cls, n: int, k: int, c=1) -> "GroupRingElement":
-        return cls(n, monomial(k % n, c))
+    def monomial(cls, n: int, k: int) -> "GroupRingElement":
+        return cls(n, monomial(k % n))
 
     def _pair(self, other):
         if isinstance(other, GroupRingElement) and other.n != self.n:

@@ -1,0 +1,247 @@
+"""Each rule is checked where its data is built: raises that no other test reaches,
+integer fields, the group axioms, Hilbert-polynomial integrality and the hash contract."""
+
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbk3.cli import main
+from orbk3.cyclotomic import (
+    AmbientFieldError,
+    Cyclotomic,
+    cyclotomic_polynomial,
+    parse_cyclotomic,
+    root_of_unity,
+    sum_inverse_one_minus_cos,
+)
+from orbk3.groups import (
+    Character,
+    FiniteGroup,
+    GroupError,
+    abelian_character_table,
+    char_inner_product,
+    cyclic_group,
+    symmetric_group_s3,
+    trivial_character,
+)
+from orbk3.hilbert import HilbClassMu2, HilbertError, ade_form
+from orbk3.hrr import OrbifoldMukaiVector, SectorMismatchError, orbifold_mukai_pairing, tangent_bundle_class
+from orbk3.inertia import (
+    K3GModel,
+    ModelError,
+    SectorEntry,
+    fixed_points_closed_form,
+    load_model,
+    preset_cyclic,
+)
+from orbk3.lattice import (
+    LatticeError,
+    MukaiVector,
+    PicardLattice,
+    fermat_quotient_lattice,
+    hilbert_polynomial,
+)
+from orbk3.polyring import QuotientRing
+from orbk3.toystacks import GroupRingElement, ToyStackError, coefficient_pairing, weighted_inner_product
+
+
+def _stabilizer_not_dividing_order():
+    model = preset_cyclic(2)
+    K3GModel(model.group, [SectorEntry(0, 3, 2, 1, 1)], model.lattice, validate=False)
+
+
+# Each call raises the exception type next to it.
+RAISES = {
+    "cyclotomic-polynomial-0": (ValueError, lambda: cyclotomic_polynomial(0)),
+    "field-order-0": (ValueError, lambda: Cyclotomic(0, ())),
+    "embed-3-into-4": (AmbientFieldError, lambda: root_of_unity(3).embed(4)),
+    "root-of-unity-0": (ValueError, lambda: root_of_unity(0)),
+    "trig-sum-1": (ValueError, lambda: sum_inverse_one_minus_cos(1)),
+    "parse-variable-y": (ValueError, lambda: parse_cyclotomic("c[4]: 1*y")),
+    "parse-degree-too-high": (ValueError, lambda: parse_cyclotomic("c[4]: 1*z^2")),
+    "group-empty": (GroupError, lambda: FiniteGroup([])),
+    "group-label-count": (GroupError, lambda: FiniteGroup([[0]], ["a", "b"])),
+    "cyclic-group-0": (GroupError, lambda: cyclic_group(0)),
+    "character-length": (GroupError, lambda: Character(cyclic_group(2), [1])),
+    "inner-product-two-groups": (
+        GroupError,
+        lambda: char_inner_product(trivial_character(cyclic_group(2)), trivial_character(cyclic_group(3))),
+    ),
+    "abelian-table-of-s3": (GroupError, lambda: abelian_character_table(symmetric_group_s3())),
+    "ade-pair-length": (HilbertError, lambda: ade_form("A", 2).pair((1,), (1, 0))),
+    "ade-rank-0": (HilbertError, lambda: ade_form("A", 0)),
+    "pairing-short-vector": (
+        SectorMismatchError,
+        lambda: orbifold_mukai_pairing(
+            preset_cyclic(2),
+            OrbifoldMukaiVector(MukaiVector(1, (0,), 1), ()),
+            OrbifoldMukaiVector(MukaiVector(1, (0,), 1), ()),
+        ),
+    ),
+    "closed-form-10": (ModelError, lambda: fixed_points_closed_form(10)),  # 4/3
+    "stabilizer-not-dividing": (ModelError, _stabilizer_not_dividing_order),
+    "ample-length": (LatticeError, lambda: PicardLattice([[2]], [1, 0])),
+    "intersect-length": (LatticeError, lambda: fermat_quotient_lattice().intersect((1, 0), (1,))),
+    "declared-rank": (LatticeError, lambda: PicardLattice.from_json({"rank": 2, "gram": [[2]], "ample": [1]})),
+    "constant-modulus": (ValueError, lambda: QuotientRing([1])),
+    "group-ring-rank-0": (ToyStackError, lambda: GroupRingElement(0, ())),
+    "weighted-lengths": (ToyStackError, lambda: weighted_inner_product((1,), (1, 2))),
+    "coefficient-pairing-ranks": (
+        ToyStackError,
+        lambda: coefficient_pairing(GroupRingElement(2, (1,)), GroupRingElement(3, (1,))),
+    ),
+    # integer fields reject what int() would truncate or parse
+    "mukai-float": (TypeError, lambda: MukaiVector(1.5, (), 0)),
+    "mukai-string-c1": (TypeError, lambda: MukaiVector(1, "12", 0)),
+    "sector-float": (TypeError, lambda: SectorEntry(0, 2, 2, 1, 1.9)),
+    "cayley-float": (TypeError, lambda: FiniteGroup([[0.0]])),
+    "gram-float": (TypeError, lambda: PicardLattice([[2.9]], [1])),
+    "ample-string": (TypeError, lambda: PicardLattice([[2]], ["1"])),
+    "hilb-class-float": (TypeError, lambda: HilbClassMu2(1.0, (0,) * 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISES))
+def test_raises(case):
+    exc_type, call = RAISES[case]
+    with pytest.raises(exc_type):
+        call()
+
+
+def _class_file(key, value):
+    data = tangent_bundle_class(preset_cyclic(2)).to_json()
+    data["mukai"][key] = value
+    return ["--preset", "cyclic:2", "--class"], data
+
+
+def _model_file(key, value):
+    data = preset_cyclic(2).to_json()
+    data["sectors"][0][key] = value
+    return ["--class", "OX", "--model"], data
+
+
+# argv cases that exit 2 with an `error:` line; a (flags, document) pair runs `dim` with the
+# document written to a file that follows the flags.
+EXIT_2 = {
+    "preset-cyclic-x": ["dim", "--preset", "cyclic:x", "--class", "OX"],
+    "preset-foo": ["dim", "--preset", "foo", "--class", "OX"],
+    "rank-1.5": _class_file("r", 1.5),
+    "rank-string-1": _class_file("r", "1"),
+    "multiplicity-1.9": _model_file("multiplicity", 1.9),
+    "gram-2.9": ["check-hypotheses", "--r", "1", "--s", "1", "--gram", "[[2.9]]"],
+    "gram-with-d": ["check-hypotheses", "--r", "1", "--s", "1", "--gram", "[[2]]", "--d", "5"],
+    "ample-without-gram": ["check-hypotheses", "--r", "1", "--s", "1", "--d", "3", "--ample", "7"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2))
+def test_cli_exit_2(capsys, tmp_path, case):
+    argv = EXIT_2[case]
+    if isinstance(argv, tuple):
+        flags, data = argv
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = ["dim", *flags, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_no_validate_is_a_dim_option(capsys):
+    assert main(["dim", "--preset", "cyclic:2", "--class", "OX", "--no-validate"]) == 0
+    assert main(["verify-identity", "--preset", "cyclic:2", "--no-validate"]) == 2
+    assert "unrecognized arguments: --no-validate" in capsys.readouterr().err
+
+
+def test_load_model_round_trips(tmp_path):
+    model = preset_cyclic(4)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model.to_json()))
+    loaded = load_model(str(path))
+    assert loaded.to_json() == model.to_json()
+    assert loaded.sectors == model.sectors
+
+
+def _is_group(table):
+    n = len(table)
+    ids = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    return (
+        bool(ids)
+        and all(any(table[a][b] == ids[0] == table[b][a] for b in range(n)) for a in range(n))
+        and all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a, b, c in itertools.product(range(n), repeat=3)
+        )
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_axioms_accept_exactly_the_groups(n):
+    # every n x n table with entries in 0..n-1, against the axioms checked one by one
+    accepted = 0
+    for entries in itertools.product(range(n), repeat=n * n):
+        table = [entries[i * n:(i + 1) * n] for i in range(n)]
+        try:
+            g = FiniteGroup(table)
+        except GroupError:
+            assert not _is_group(table), table
+            continue
+        accepted += 1
+        assert _is_group(table), table
+        assert all(g.mul(a, g.inv(a)) == g.identity == g.mul(g.inv(a), a) for a in range(n))
+    assert accepted == {1: 1, 2: 2, 3: 3}[n]
+
+
+even_lattices = st.integers(1, 3).flatmap(
+    lambda rank: st.tuples(
+        st.lists(st.integers(-5, 5), min_size=rank * rank, max_size=rank * rank),
+        st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+        st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_lattices)
+def test_hilbert_polynomial_has_integer_coefficients(data):
+    entries, ample, c1, r, s = data
+    rank = len(ample)
+    # symmetric with even diagonal, from the upper triangle
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            value = entries[i * rank + j]
+            gram[i][j] = gram[j][i] = 2 * value if i == j else value
+    try:
+        lattice = PicardLattice(gram, ample)
+    except LatticeError:
+        return  # ample class not positive
+    p = hilbert_polynomial(lattice, MukaiVector(r, tuple(c1), s))
+    assert all(isinstance(c, Fraction) and c.denominator == 1 for c in p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_equal_objects_built_two_ways_hash_equal(n, data):
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=2, max_size=n))
+    coeffs[1] = coeffs[1] or 1  # not a constant
+    unpadded = GroupRingElement(n, coeffs)
+    padded = GroupRingElement(n, coeffs + [0] * (n - len(coeffs)))
+    assert unpadded == padded and hash(unpadded) == hash(padded)
+
+    modulus = data.draw(st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(lambda m: m[-1]))
+    as_list, as_tuple = QuotientRing(modulus), QuotientRing(tuple(modulus))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    a, b = as_list.reduce([1, 1]), as_tuple.reduce((Fraction(1), Fraction(1)))
+    assert a == b and hash(a) == hash(b)
+
+    gram, ample = [[2 * n, 1], [1, -2]], [1, 0]
+    lists, tuples = PicardLattice(gram, ample), PicardLattice(tuple(map(tuple, gram)), tuple(ample))
+    assert lists == tuples and hash(lists) == hash(tuples)

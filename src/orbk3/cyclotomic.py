@@ -7,7 +7,11 @@ exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
 is obtained by dividing x^L - 1 by Phi_d over the proper divisors d of L.
 What is particular to the field lives here: operands of different orders
 meet in Q(zeta_lcm), and embedding and conjugation substitute a power of x
-and reduce, which, because x^L = 1 mod Phi_L, is one `poly_fold`.  Hashing
+and reduce, which, because x^L = 1 mod Phi_L, is one `poly_fold`.  The field
+trace Tr(a) = sum of the Galois conjugates of a is read off the coefficients
+with no arithmetic in the field, so a sum of a rational function over all
+primitive m-th roots of unity costs one evaluation in Q(zeta_m) and one trace;
+`sum_inverse_one_minus_cos` inverts once per divisor of n this way.  Hashing
 uses the normalized trace Tr(a)/phi(L), which embedding preserves.
 """
 
@@ -157,9 +161,16 @@ class Cyclotomic(QuotientRingElement):
             raise ExactnessError(f"not a rational element: {self}")
         return self.coeffs[0]
 
+    def _mean_trace(self):
+        """Tr(a)/phi(L): unchanged by embedding, and a itself when a is rational."""
+        return sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.L)) if c)
+
+    def trace(self) -> Fraction:
+        """Tr_{Q(zeta_L)/Q}(a), the sum of the phi(L) Galois conjugates of a, exact."""
+        return Fraction(self.ring.degree * self._mean_trace())
+
     def __hash__(self) -> int:
-        # Tr(a)/phi(L) does not change under embedding, and is a itself when a is rational
-        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.L)) if c))
+        return hash(self._mean_trace())
 
     # -- printing / parsing --------------------------------------------
 
@@ -187,16 +198,15 @@ def inverse_one_minus_re(lam: Cyclotomic) -> Cyclotomic:
 
 
 def sum_inverse_one_minus_cos(n: int) -> Fraction:
-    """Exact value of sum_{k=1}^{n-1} 1/(1 - cos(2 pi k / n)).
+    """Exact value of sum_{k=1}^{n-1} 1/(1 - cos(2 pi k / n)); it equals (n^2 - 1)/6.
 
-    Evaluated in Q(zeta_n); the total is rational and equals (n^2 - 1)/6.
+    The zeta_n^k with n/gcd(k, n) = m are the Galois conjugates of zeta_m, so
+    their terms sum to Tr_{Q(zeta_m)/Q} 1/(1 - Re zeta_m): one inverse in
+    Q(zeta_m) per divisor m > 1 of n, not one in Q(zeta_n) per k.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    total = Cyclotomic.zero(n)
-    for k in range(1, n):
-        total = total + inverse_one_minus_re(root_of_unity(n, k))
-    return total.as_rational()
+    return sum(inverse_one_minus_re(root_of_unity(m)).trace() for m in range(2, n + 1) if n % m == 0)
 
 
 # Largest field order accepted in `c[L]: ...` text, so that parsing untrusted input has a

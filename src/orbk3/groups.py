@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import index
 
 from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic, root_of_unity
+from .polyring import integer, integers
 
 
 class GroupError(ValueError):
@@ -35,7 +35,7 @@ class FiniteGroup:
     """
 
     def __init__(self, cayley, labels=None):
-        table = tuple(tuple(map(index, row)) for row in cayley)
+        table = tuple(integers(row) for row in cayley)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise GroupError("Cayley table must be a nonempty square matrix")
@@ -144,9 +144,10 @@ class FiniteGroup:
     def from_json(cls, data: dict) -> "FiniteGroup":
         try:
             g = cls(data["cayley"], data.get("labels"))
+            declared = integer(data.get("order", g.order))
         except (KeyError, TypeError) as exc:
             raise GroupError(f"bad group descriptor ({type(exc).__name__}): {exc}") from exc
-        if "order" in data and data["order"] != g.order:
+        if declared != g.order:
             raise GroupError("declared order does not match Cayley table")
         return g
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
-from operator import index
 
 from .hrr import EquivariantClass, OrbifoldMukaiVector, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
 from .lattice import MukaiVector
+from .polyring import integer, integers
 
 
 class HilbertError(ValueError):
@@ -33,8 +33,8 @@ class HilbClassMu2:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", index(self.n))
-        object.__setattr__(self, "m", tuple(map(index, self.m)))
+        object.__setattr__(self, "n", integer(self.n))
+        object.__setattr__(self, "m", integers(self.m))
         if len(self.m) != 8:
             raise HilbertError("mu_2 class needs exactly 8 orbifold multiplicities")
 

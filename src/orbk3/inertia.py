@@ -16,11 +16,11 @@ import json
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
 
 from .cyclotomic import Cyclotomic, inverse_one_minus_re, root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
 from .lattice import PicardLattice
+from .polyring import integer
 
 
 class ModelError(ValueError):
@@ -62,7 +62,7 @@ class SectorEntry:
 
     eig_order/eig_exp give the eigenvalue zeta_{eig_order}^{eig_exp} of the
     group element's differential on the fixed points; multiplicity counts
-    identical orbits.  All five fields are integers (`operator.index`).
+    identical orbits.  All five fields are integers (`polyring.integer`).
     """
 
     class_index: int  # index into the nontrivial conjugacy classes
@@ -73,7 +73,7 @@ class SectorEntry:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, index(getattr(self, f.name)))
+            object.__setattr__(self, f.name, integer(getattr(self, f.name)))
         if self.stabilizer_order < 1 or self.multiplicity < 1:
             raise ModelError("stabilizer order and multiplicity must be positive")
         if self.eig_order < 2:
@@ -214,11 +214,19 @@ def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
 
 
 def validate_identity(model: K3GModel) -> Fraction:
-    """Exact value of 1/|G| + (1/4) sum 1/(|G_ij| (1 - Re lambda_ij))."""
+    """Exact value of 1/|G| + (1/4) sum 1/(|G_ij| (1 - Re lambda_ij)).
+
+    The rational factors mult/|G_ij| are summed per distinct eigenvalue
+    first, so each eigenvalue costs one inverse in its own field Q(zeta_m),
+    however many sectors carry it; the total lands in Q(zeta_ambient).
+    """
+    factors: dict[tuple[int, int], Fraction] = {}
+    for s in model.sectors:
+        key = (s.eig_order, s.eig_exp % s.eig_order)
+        factors[key] = factors.get(key, 0) + Fraction(s.multiplicity, s.stabilizer_order)
     total = Cyclotomic.from_rational(Fraction(1, model.group.order))
-    quarter = Fraction(1, 4)
-    for weight in model.sector_weights():
-        total = total + weight * quarter
+    for (order, exp), factor in factors.items():
+        total = total + inverse_one_minus_re(root_of_unity(order, exp)) * (factor / 4)
     return total.as_rational()
 
 
@@ -226,23 +234,23 @@ def solve_fixed_points_cyclic(n: int) -> int:
     """Recover f_n from the unit identity alone.
 
     The sector of g^k contributes s_k / (4n (1 - cos(2 pi k/n))) where s_k is
-    the number of points fixed by g^k.  Powers of composite order n_k < n
-    are substituted recursively; the remaining unknown is |X^G| itself.
+    the number of points fixed by g^k, which depends only on the order m of
+    g^k.  The g^k of order m carry the Galois conjugates of zeta_m, so their
+    terms sum to s_m Tr_{Q(zeta_m)/Q} 1/(1 - Re zeta_m): one inverse per
+    divisor m.  For m < n, s_m = f_m is solved recursively; the remaining
+    unknown is |X^G| itself.
     """
     if not (2 <= n <= MAX_SYMPLECTIC_ORDER):
         raise ModelError(f"solver requires 2 <= n <= {MAX_SYMPLECTIC_ORDER}")
-    known = Cyclotomic.zero(n)
-    unknown_weight = Cyclotomic.zero(n)
-    for k in range(1, n):
-        order_k = n // gcd(n, k)
-        weight = inverse_one_minus_re(root_of_unity(n, k))
-        if order_k == n:
-            unknown_weight = unknown_weight + weight
-        else:
-            known = known + weight * solve_fixed_points_cyclic(order_k)
+    known = sum(
+        inverse_one_minus_re(root_of_unity(m)).trace() * solve_fixed_points_cyclic(m)
+        for m in range(2, n)
+        if n % m == 0
+    )
+    unknown_weight = inverse_one_minus_re(root_of_unity(n)).trace()
     # 1/n + (known + X * unknown_weight) / (4n) = 1
-    rhs = Fraction(4 * n) * (1 - Fraction(1, n)) - known.as_rational()
-    count = rhs / unknown_weight.as_rational()
+    rhs = Fraction(4 * n) * (1 - Fraction(1, n)) - known
+    count = rhs / unknown_weight
     if count.denominator != 1 or count <= 0:
         raise ModelError(f"fixed point solve for n={n} gave non-integer {count}")
     return int(count)

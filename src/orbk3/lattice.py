@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
-from operator import index
 
-from .polyring import Coeffs, poly, poly_scale, poly_sub
+from .polyring import Coeffs, integer, integers, poly, poly_scale, poly_sub
 
 INFINITE_SLOPE = "infinity"
 
@@ -27,12 +26,12 @@ class PicardLattice:
 
     The Gram matrix must be symmetric with even diagonal (the K3
     intersection form is even) and the ample class must have positive
-    self-intersection.  Entries must be integers (`operator.index`), so a
-    float or numeric string is rejected rather than truncated.
+    self-intersection.  Entries must be integers (`polyring.integers`), so a
+    float, bool or numeric string is rejected rather than truncated.
     """
 
     def __init__(self, gram, ample):
-        g = tuple(tuple(map(index, row)) for row in gram)
+        g = tuple(integers(row) for row in gram)
         rank = len(g)
         if any(len(row) != rank for row in g):
             raise LatticeError("Gram matrix must be square")
@@ -42,7 +41,7 @@ class PicardLattice:
             for j in range(rank):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        h = tuple(map(index, ample))
+        h = integers(ample)
         if len(h) != rank:
             raise LatticeError("ample class length must equal rank")
         self.gram = g
@@ -85,9 +84,10 @@ class PicardLattice:
     def from_json(cls, data: dict) -> "PicardLattice":
         try:
             lat = cls(data["gram"], data["ample"])
+            declared = integer(data.get("rank", lat.rank))
         except (KeyError, TypeError) as exc:
             raise LatticeError(f"bad lattice descriptor ({type(exc).__name__}): {exc}") from exc
-        if "rank" in data and data["rank"] != lat.rank:
+        if declared != lat.rank:
             raise LatticeError("declared rank does not match Gram matrix")
         return lat
 
@@ -111,9 +111,9 @@ class MukaiVector:
     s: int
 
     def __post_init__(self):
-        object.__setattr__(self, "r", index(self.r))
-        object.__setattr__(self, "c1", tuple(map(index, self.c1)))
-        object.__setattr__(self, "s", index(self.s))
+        object.__setattr__(self, "r", integer(self.r))
+        object.__setattr__(self, "c1", integers(self.c1))
+        object.__setattr__(self, "s", integer(self.s))
 
     def dual(self) -> "MukaiVector":
         return MukaiVector(self.r, tuple(-x for x in self.c1), self.s)

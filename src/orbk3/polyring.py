@@ -4,12 +4,14 @@ Polynomials are plain tuples of Fractions in ascending degree, with trailing
 zeros stripped; the zero polynomial is the empty tuple.  A residue in Q[x]/(m)
 is exactly deg m coefficients, padded with zeros.  `QuotientRingElement` does
 all residue arithmetic; Q(zeta_L) and Z[x]/(x^n - 1) are subclasses of it.
+`integer` and `integers` are the one integer coercion of every loader.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Sequence
 
 Coeffs = tuple[Fraction, ...]
@@ -21,6 +23,21 @@ def poly(coeffs: Iterable) -> Coeffs:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def integer(value) -> int:
+    """value as an exact int (`operator.index`); bool is rejected, so JSON true is not 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got bool")
+    return index(value)
+
+
+def integers(values: Iterable) -> tuple[int, ...]:
+    """`integer` of each value, with one type scan for bools (Cayley tables are long)."""
+    values = tuple(values)
+    if bool in set(map(type, values)):
+        raise TypeError("expected integers, got bool")
+    return tuple(map(index, values))
 
 
 def poly_deg(p: Sequence[Fraction]) -> int:

@@ -102,6 +102,27 @@ RAISES = {
     "gram-float": (TypeError, lambda: PicardLattice([[2.9]], [1])),
     "ample-string": (TypeError, lambda: PicardLattice([[2]], ["1"])),
     "hilb-class-float": (TypeError, lambda: HilbClassMu2(1.0, (0,) * 8)),
+    # ... and bool, a subclass of int that `operator.index` takes as 0 or 1
+    "mukai-bool": (TypeError, lambda: MukaiVector(True, (), 0)),
+    "mukai-bool-c1": (TypeError, lambda: MukaiVector(1, (False,), 0)),
+    "sector-bool": (TypeError, lambda: SectorEntry(0, 2, 2, 1, True)),
+    "cayley-bool": (TypeError, lambda: FiniteGroup([[0, True], [True, 0]])),
+    "gram-bool": (TypeError, lambda: PicardLattice([[2, False], [False, 2]], [1, 0])),
+    "ample-bool": (TypeError, lambda: PicardLattice([[2]], [True])),
+    "hilb-class-bool": (TypeError, lambda: HilbClassMu2(True, (0,) * 8)),
+    "hilb-class-bool-m": (TypeError, lambda: HilbClassMu2(1, (False,) * 8)),
+    "cayley-bool-json": (GroupError, lambda: FiniteGroup.from_json({"cayley": [[False]]})),
+    # a declared size is an int too, not just equal to one
+    "declared-order-float": (GroupError, lambda: FiniteGroup.from_json({"order": 1.0, "cayley": [[0]]})),
+    "declared-order-bool": (GroupError, lambda: FiniteGroup.from_json({"order": True, "cayley": [[0]]})),
+    "declared-rank-float": (
+        LatticeError,
+        lambda: PicardLattice.from_json({"rank": 1.0, "gram": [[2]], "ample": [1]}),
+    ),
+    "declared-rank-bool": (
+        LatticeError,
+        lambda: PicardLattice.from_json({"rank": True, "gram": [[2]], "ample": [1]}),
+    ),
 }
 
 
@@ -118,9 +139,9 @@ def _class_file(key, value):
     return ["--preset", "cyclic:2", "--class"], data
 
 
-def _model_file(key, value):
+def _model_file(key, value, section="sectors"):
     data = preset_cyclic(2).to_json()
-    data["sectors"][0][key] = value
+    (data[section][0] if section == "sectors" else data[section])[key] = value
     return ["--class", "OX", "--model"], data
 
 
@@ -132,6 +153,14 @@ EXIT_2 = {
     "rank-1.5": _class_file("r", 1.5),
     "rank-string-1": _class_file("r", "1"),
     "multiplicity-1.9": _model_file("multiplicity", 1.9),
+    # each of these equals the valid value, so only the type check rejects it
+    "rank-true": _class_file("r", True),
+    "c1-false": _class_file("c1", [False]),
+    "multiplicity-true": _model_file("multiplicity", True),
+    "cayley-true": _model_file("cayley", [[0, True], [True, 0]], "group"),
+    "group-order-2.0": _model_file("order", 2.0, "group"),
+    "lattice-rank-true": _model_file("rank", True, "lattice"),
+    "lattice-rank-1.0": _model_file("rank", 1.0, "lattice"),
     "gram-2.9": ["check-hypotheses", "--r", "1", "--s", "1", "--gram", "[[2.9]]"],
     "gram-with-d": ["check-hypotheses", "--r", "1", "--s", "1", "--gram", "[[2]]", "--d", "5"],
     "ample-without-gram": ["check-hypotheses", "--r", "1", "--s", "1", "--d", "3", "--ample", "7"],

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,12 @@ from orbk3.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     format_cyclotomic,
+    inverse_one_minus_re,
     parse_cyclotomic,
     root_of_unity,
     sum_inverse_one_minus_cos,
 )
-from orbk3.polyring import poly, poly_divmod, poly_mul
+from orbk3.polyring import poly, poly_divmod, poly_fold, poly_mul
 
 
 def test_phi8_by_explicit_division():
@@ -87,6 +89,24 @@ def test_trig_identity_full_range():
         assert sum_inverse_one_minus_cos(n) == Fraction(n * n - 1, 6)
 
 
+def test_trig_sum_matches_the_sum_term_by_term():
+    # the definition: one 1/(1 - Re zeta_n^k) per k, summed in Q(zeta_n)
+    for n in range(2, 51):
+        total = Cyclotomic.zero(n)
+        for k in range(1, n):
+            total = total + inverse_one_minus_re(root_of_unity(n, k))
+        assert total.as_rational() == sum_inverse_one_minus_cos(n)
+
+
+def test_trig_sum_inverts_once_per_divisor(inverse_calls):
+    # one inverse in Q(zeta_m) per divisor m > 1, not n - 1 inverses in Q(zeta_n)
+    for n in range(2, 51):
+        inverse_calls.clear()
+        sum_inverse_one_minus_cos(n)
+        divisors = [m for m in range(2, n + 1) if n % m == 0]
+        assert sorted(inverse_calls) == sorted(euler_phi(m) for m in divisors), n
+
+
 FIELD_ORDERS = [1, 3, 4, 8, 12, 24]
 
 
@@ -123,6 +143,20 @@ def test_conjugation_is_ring_involution(data):
     assert a.conjugate().conjugate() == a
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_trace_is_the_sum_of_the_galois_conjugates(data):
+    L = data.draw(st.sampled_from(FIELD_ORDERS))
+    a = data.draw(cyclo_elements(L))
+    # sigma_j(a) = a(zeta^j) for j coprime to L
+    conjugates = [Cyclotomic(L, poly_fold(a.coeffs, j, L)) for j in range(1, L + 1) if gcd(j, L) == 1]
+    trace = a.trace()
+    assert isinstance(trace, Fraction)
+    assert trace == sum(conjugates, Cyclotomic.zero(L)).as_rational()
+    big = data.draw(st.sampled_from([M for M in FIELD_ORDERS if M % L == 0]))
+    assert a.embed(big).trace() == Fraction(euler_phi(big), euler_phi(L)) * trace
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,13 @@
 """Fixed-point models, the unit identity, and the cyclic presets."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbk3.cyclotomic import Cyclotomic, ExactnessError
 from orbk3.inertia import (
     FIXED_POINT_TABLE,
     IdentityError,
@@ -44,6 +46,71 @@ def test_identity_all_presets():
 
 def test_identity_trivial_model():
     assert validate_identity(trivial_model()) == 1
+
+
+def per_sector_identity(model):
+    """The definition: one sector weight per sector, summed in Q(zeta_ambient)."""
+    total = Cyclotomic.from_rational(Fraction(1, model.group.order))
+    for weight in model.sector_weights():
+        total = total + weight * Fraction(1, 4)
+    return total.as_rational()
+
+
+def outcome(identity, model):
+    """The value, or the ExactnessError text, which prints the irrational total."""
+    try:
+        return identity(model)
+    except ExactnessError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [1, *range(2, 9)])
+def test_identity_matches_the_per_sector_sum_on_presets(n):
+    model = trivial_model() if n == 1 else preset_cyclic(n)
+    assert validate_identity(model) == per_sector_identity(model) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_identity_matches_the_per_sector_sum_on_json_models(n, data):
+    # each sector gets another primitive root (so the total may be irrational), an
+    # exponent shifted by a multiple of its order (negative, or >= the order) and
+    # another multiplicity; equal eigenvalues repeat across sectors
+    doc = preset_cyclic(n).to_json()
+    for s in doc["sectors"]:
+        m = s["eig_order"]
+        unit = data.draw(st.sampled_from([u for u in range(1, m) if gcd(u, m) == 1]))
+        s["eig_exp"] = s["eig_exp"] * unit % m + m * data.draw(st.integers(-2, 2))
+        s["multiplicity"] = data.draw(st.integers(1, 3))
+    model = K3GModel.from_json(doc, validate=False)
+    assert outcome(validate_identity, model) == outcome(per_sector_identity, model)
+
+
+def test_identity_with_negative_and_large_exponents_of_one_eigenvalue():
+    # zeta_4^-1 = zeta_4^3 = zeta_4^7 = zeta_4^-5: one eigenvalue written four ways
+    base = preset_cyclic(4)
+    sectors = [
+        SectorEntry(s.class_index, s.stabilizer_order, s.eig_order, s.eig_exp + shift * s.eig_order, 1)
+        for s in base.sectors
+        for shift in (-2, -1, 1, 2)
+    ]
+    model = K3GModel(base.group, sectors, base.lattice, validate=False)
+    assert validate_identity(model) == per_sector_identity(model)
+
+
+def test_identity_inverts_once_per_distinct_eigenvalue(inverse_calls):
+    model = preset_cyclic(8)
+    inverse_calls.clear()
+    assert validate_identity(model) == 1
+    eigenvalues = {(s.eig_order, s.eig_exp % s.eig_order) for s in model.sectors}
+    assert (len(model.sectors), len(eigenvalues), len(inverse_calls)) == (18, 7, 7)
+
+
+def test_solver_inverts_once_per_divisor(inverse_calls):
+    # one inverse per divisor m > 1 on each level: 8 takes m = 2, 4, 8 and recurses
+    # into 2 (m = 2) and 4 (m = 2, 4), and 4 into 2 (m = 2)
+    assert solve_fixed_points_cyclic(8) == 2
+    assert sorted(inverse_calls) == [1, 1, 1, 1, 2, 2, 4]
 
 
 def test_preset_mu2_structure():

@@ -33,7 +33,6 @@ from .inertia import (
     preset_cyclic,
     solve_fixed_points_cyclic,
     trivial_model,
-    validate_identity,
 )
 from .lattice import LatticeError, MukaiVector, PicardLattice, check_hypotheses, hypotheses_at_degree
 from .polyring import format_poly
@@ -80,9 +79,10 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} must be comma-separated integers, got {text!r}") from exc
 
 
-def _load_preset_or_model(args):
+def _load_preset_or_model(args, validate: bool):
+    """The model of --model or --preset; presets check the unit identity always."""
     if args.model:
-        return K3GModel.from_json(_read_json(args.model, "model"), validate=not args.no_validate)
+        return K3GModel.from_json(_read_json(args.model, "model"), validate=validate)
     spec = args.preset or "cyclic:2"
     if spec == "trivial":
         return trivial_model()
@@ -114,15 +114,15 @@ def cmd_fixed_points(args):
     closed = fixed_points_closed_form(n)
     if count != closed:
         raise ConsistencyError(f"solver {count} != closed form {closed}")
-    residual = validate_identity(preset_cyclic(n))
+    preset_cyclic(n)  # raises IdentityError unless the unit identity evaluates to 1
     return (
-        {"order": n, "fixed_points": count, "identity_residual": str(residual)},
-        f"f_{n} = {count} (unit identity evaluates to {residual})",
+        {"order": n, "fixed_points": count, "identity_residual": "1"},
+        f"f_{n} = {count} (unit identity evaluates to 1)",
     )
 
 
 def cmd_dim(args):
-    model = _load_preset_or_model(args)
+    model = _load_preset_or_model(args, validate=not args.no_validate)
     builtin = args.klass in BUILTIN_CLASSES
     if builtin:
         cls = BUILTIN_CLASSES[args.klass](model)
@@ -152,9 +152,7 @@ def cmd_hilb_enum(args):
 
 
 def cmd_verify_identity(args):
-    residual = validate_identity(_load_preset_or_model(args))
-    if residual != 1:
-        raise IdentityError(residual)
+    _load_preset_or_model(args, validate=True)  # raises IdentityError unless the identity is 1
     return {"identity": "1", "exact": True}, "1 (exact)"
 
 
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify-identity", cmd_verify_identity, "evaluate the unit identity for a model")
     add_model_args(p)
-    p.set_defaults(no_validate=True)
 
     p = command("parseval", cmd_parseval, "randomized Parseval property check")
     p.add_argument("--n", type=int, required=True, help=f"group order, 1 <= N <= {PARSEVAL_MAX_N}")

@@ -374,11 +374,15 @@ def character_table_from_json(data: dict) -> tuple[Character, ...]:
 
 
 def validate_orthogonality(table) -> None:
-    """Check an externally supplied table: one row per conjugacy class, orthonormal rows."""
+    """Check an externally supplied table: one row per conjugacy class, orthonormal rows.
+
+    Pairs j >= i only: <chi, psi> = <psi, chi> for any class functions (substitute
+    g -> g^-1), so a row-major scan meets every failing pair first at j >= i.
+    """
     if not table or len(table) != len(table[0].group.classes):
         raise GroupError("a character table needs exactly one row per conjugacy class")
     for i, chi in enumerate(table):
-        for j, psi in enumerate(table):
+        for j, psi in enumerate(table[i:], i):
             expected = Fraction(1 if i == j else 0)
             got = char_inner_product(chi, psi)
             if got != expected:

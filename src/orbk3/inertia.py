@@ -42,7 +42,9 @@ FIXED_POINT_TABLE = {2: 8, 3: 6, 4: 4, 5: 4, 6: 2, 7: 3, 8: 2}
 
 
 def fixed_points_closed_form(n: int) -> int:
-    """f_n = (24/n) * prod_{p | n} (1 + 1/p)^{-1}, exact."""
+    """f_n = (24/n) * prod_{p | n} (1 + 1/p)^{-1}, exact, for n >= 1."""
+    if n < 1:
+        raise ModelError(f"closed-form fixed point count requires n >= 1, got {n}")
     value = Fraction(24, n)
     for p in range(2, n + 1):
         if n % p == 0 and all(p % q != 0 for q in range(2, p)):
@@ -236,21 +238,18 @@ def solve_fixed_points_cyclic(n: int) -> int:
     The sector of g^k contributes s_k / (4n (1 - cos(2 pi k/n))) where s_k is
     the number of points fixed by g^k, which depends only on the order m of
     g^k.  The g^k of order m carry the Galois conjugates of zeta_m, so their
-    terms sum to s_m Tr_{Q(zeta_m)/Q} 1/(1 - Re zeta_m): one inverse per
-    divisor m.  For m < n, s_m = f_m is solved recursively; the remaining
-    unknown is |X^G| itself.
+    terms sum to f_m T(m), T(m) = Tr_{Q(zeta_m)/Q} 1/(1 - Re zeta_m): one
+    inverse per divisor m.  The identity for g^(n/m), of order m, reads
+    sum_{d | m, d > 1} f_d T(d) = 4(m - 1); the divisors are solved smallest first.
     """
     if not (2 <= n <= MAX_SYMPLECTIC_ORDER):
         raise ModelError(f"solver requires 2 <= n <= {MAX_SYMPLECTIC_ORDER}")
-    known = sum(
-        inverse_one_minus_re(root_of_unity(m)).trace() * solve_fixed_points_cyclic(m)
-        for m in range(2, n)
-        if n % m == 0
-    )
-    unknown_weight = inverse_one_minus_re(root_of_unity(n)).trace()
-    # 1/n + (known + X * unknown_weight) / (4n) = 1
-    rhs = Fraction(4 * n) * (1 - Fraction(1, n)) - known
-    count = rhs / unknown_weight
-    if count.denominator != 1 or count <= 0:
-        raise ModelError(f"fixed point solve for n={n} gave non-integer {count}")
-    return int(count)
+    solved: dict[int, tuple[Fraction, int]] = {}  # m -> (T(m), f_m)
+    for m in (d for d in range(2, n + 1) if n % d == 0):
+        weight = inverse_one_minus_re(root_of_unity(m)).trace()
+        known = sum(t * f for d, (t, f) in solved.items() if m % d == 0)
+        count = (4 * (m - 1) - known) / weight
+        if count.denominator != 1 or count <= 0:
+            raise ModelError(f"fixed point solve for n={m} gave non-integer {count}")
+        solved[m] = weight, int(count)
+    return solved[n][1]

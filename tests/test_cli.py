@@ -100,6 +100,17 @@ def test_verify_identity_preset(capsys):
     assert "1 (exact)" in out
 
 
+# The unit identity is evaluated once, where the model is built: fixed-points inverts once
+# per divisor of 8 in the solver (3) and once per distinct eigenvalue of preset_cyclic(8) (7).
+@pytest.mark.parametrize(
+    "argv, inverses",
+    [(["fixed-points", "--order", "8"], 10), (["verify-identity", "--preset", "cyclic:8"], 7)],
+)
+def test_unit_identity_is_evaluated_once(capsys, inverse_calls, argv, inverses):
+    code, _, _ = run(capsys, *argv)
+    assert (code, len(inverse_calls)) == (0, inverses)
+
+
 def test_verify_identity_bad_model(capsys, tmp_path):
     good = preset_cyclic(2)
     sectors = list(good.sectors)[:-1]  # drop one orbit: identity now < 1
@@ -440,22 +451,27 @@ def _raise_exactness(*args):
     raise ExactnessError("not a rational element")
 
 
-# A failed self-check in a subcommand: (name patched in cli, replacement, argv, exit code,
-# stderr prefix).
+# A failed self-check in a subcommand: (dotted name patched where the check calls it,
+# replacement, argv, exit code, stderr prefix).  The unit identity runs where the model
+# is built, so verify-identity fails through `inertia.validate_identity`.
 CONSISTENCY = "internal consistency failure: "
 FAILURE_BRANCHES = {
-    "fixed-points": ("fixed_points_closed_form", lambda n: -1, ["fixed-points", "--order", "5"], 4, CONSISTENCY),
-    "verify-identity": (
-        "validate_identity", lambda model: Fraction(7, 8), ["verify-identity", "--preset", "cyclic:2"], 3,
-        "model integrity failure: unit identity FAILED",
+    "fixed-points": (
+        "orbk3.cli.fixed_points_closed_form", lambda n: -1, ["fixed-points", "--order", "5"], 4, CONSISTENCY,
     ),
-    "parseval": ("parseval_check", lambda f, g: False, ["parseval", "--n", "3", "--trials", "2"], 4, CONSISTENCY),
+    "verify-identity": (
+        "orbk3.inertia.validate_identity", lambda model: Fraction(7, 8), ["verify-identity", "--preset", "cyclic:2"],
+        3, "model integrity failure: unit identity FAILED",
+    ),
+    "parseval": (
+        "orbk3.cli.parseval_check", lambda f, g: False, ["parseval", "--n", "3", "--trials", "2"], 4, CONSISTENCY,
+    ),
     "wps-euler": (
-        "wps_relation_element", lambda weights: GroupRingElement(1, (1,)), ["wps-euler", "--weights", "1,2"], 4,
-        CONSISTENCY,
+        "orbk3.cli.wps_relation_element", lambda weights: GroupRingElement(1, (1,)), ["wps-euler", "--weights", "1,2"],
+        4, CONSISTENCY,
     ),
     "dim-preset-builtin-irrational": (
-        "euler_pairing", _raise_exactness, ["dim", "--preset", "cyclic:2", "--class", "TX"], 4, CONSISTENCY,
+        "orbk3.cli.euler_pairing", _raise_exactness, ["dim", "--preset", "cyclic:2", "--class", "TX"], 4, CONSISTENCY,
     ),
 }
 
@@ -463,8 +479,8 @@ FAILURE_BRANCHES = {
 @pytest.mark.parametrize("case", sorted(FAILURE_BRANCHES))
 @pytest.mark.parametrize("as_json", [False, True])
 def test_failed_self_check_prints_one_stderr_line(capsys, monkeypatch, case, as_json):
-    name, replacement, argv, want_code, prefix = FAILURE_BRANCHES[case]
-    monkeypatch.setattr(cli, name, replacement)
+    target, replacement, argv, want_code, prefix = FAILURE_BRANCHES[case]
+    monkeypatch.setattr(target, replacement)
     code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
     assert code == want_code
     assert out == ""

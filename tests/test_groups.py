@@ -131,6 +131,34 @@ def test_s3_table_orthogonality():
     validate_orthogonality(s3_character_table())
 
 
+def test_orthogonality_pairs_each_unordered_pair_once(monkeypatch):
+    table = abelian_character_table(direct_product(cyclic_group(2), cyclic_group(6)))
+    calls = []
+
+    def counting(chi, psi):
+        calls.append((chi, psi))
+        return char_inner_product(chi, psi)
+
+    monkeypatch.setattr(groups_module, "char_inner_product", counting)
+    validate_orthogonality(table)
+    assert len(calls) == 12 * 13 // 2 == 78
+
+
+@pytest.mark.parametrize(
+    "row2, message",
+    [
+        ([2, 2, 0], "character table fails orthogonality at (0,2): 1"),
+        # orthogonal to the trivial row, so the first failing pair is (1,2)
+        ([2, 2, -2], "character table fails orthogonality at (1,2): 2"),
+    ],
+)
+def test_corrupted_table_names_its_first_failing_pair(row2, message):
+    table = s3_character_table()
+    with pytest.raises(GroupError) as info:
+        validate_orthogonality((*table[:2], Character(table[0].group, row2)))
+    assert str(info.value) == message
+
+
 def test_dual_is_involution_and_conjugation():
     for g in ABELIAN_GROUPS[1:]:
         for chi in abelian_character_table(g):

@@ -107,10 +107,16 @@ def test_identity_inverts_once_per_distinct_eigenvalue(inverse_calls):
 
 
 def test_solver_inverts_once_per_divisor(inverse_calls):
-    # one inverse per divisor m > 1 on each level: 8 takes m = 2, 4, 8 and recurses
-    # into 2 (m = 2) and 4 (m = 2, 4), and 4 into 2 (m = 2)
+    # one inverse in Q(zeta_m) per divisor m > 1 of 8, of degree phi(m): m = 2, 4, 8,
+    # each solved once, smallest first
     assert solve_fixed_points_cyclic(8) == 2
-    assert sorted(inverse_calls) == [1, 1, 1, 1, 2, 2, 4]
+    assert sorted(inverse_calls) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_closed_form_rejects_nonpositive_order(n):
+    with pytest.raises(ModelError, match="requires n >= 1"):
+        fixed_points_closed_form(n)
 
 
 def test_preset_mu2_structure():

@@ -4,7 +4,11 @@ Polynomials are plain tuples of Fractions in ascending degree, with trailing
 zeros stripped; the zero polynomial is the empty tuple.  A residue in Q[x]/(m)
 is exactly deg m coefficients, padded with zeros.  `QuotientRingElement` does
 all residue arithmetic; Q(zeta_L) and Z[x]/(x^n - 1) are subclasses of it.
-`integer` and `integers` are the one integer coercion of every loader.
+Division with remainder and inversion both run on integer numerators: each
+operand is written as an integer vector over one denominator, the work is
+pseudo-division in Z[x], and one Fraction per output coefficient is built at
+the end.  `integer` and `integers` are the one integer coercion of every
+loader.
 """
 
 from __future__ import annotations
@@ -87,20 +91,40 @@ def poly_scale(p: Coeffs, c) -> Coeffs:
 
 
 def poly_divmod(p: Coeffs, m: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Exact long division over Q.  Raises on a zero divisor."""
+    """Exact division with remainder over Q, by pseudo-division in Z[x].
+
+    Write p = P/d and m = M/e with P, M integral (`_numerators`), and let l be
+    the lead of M.  Each step takes the top coefficient c of R (first P) and
+    g = gcd(c, l), scales R and Q by f = l/g and subtracts (c/g)*x^s*M, which
+    cancels the top term; S is the product of the f, so S*P = Q*M + R
+    throughout.  The quotient is then Q*e/(d*S) and the remainder R/(d*S).
+    For a monic modulus (Phi_L, x^n - 1 and every modulus the library builds)
+    f is always 1.  No Fraction is built until the end.  Raises
+    ZeroDivisionError on a zero divisor.
+    """
     if not m:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(m) + 1, 0)
-    lead = m[-1]
-    for i in range(len(rem) - len(m), -1, -1):
-        c = rem[i + len(m) - 1] / lead
-        if c == 0:
-            continue
-        quot[i] = c
-        for j, b in enumerate(m):
-            rem[i + j] -= c * b
-    return poly(quot), poly(rem)
+    R, d = _numerators(p)
+    M, e = _numerators(m)
+    n, lead = len(M), M[-1]
+    # zero coefficients of the modulus are skipped; Phi_L and x^n - 1 are sparse
+    terms = [(j, b) for j, b in enumerate(M[:-1]) if b]
+    Q = [0] * max(len(R) - n + 1, 0)
+    S = 1
+    while len(R) >= n:
+        c = R.pop()
+        if c:
+            g = gcd(c, lead)
+            f, c = lead // g, c // g
+            if f != 1:
+                R = [f * x for x in R]
+                Q = [f * x for x in Q]
+                S *= f
+            shift = len(R) + 1 - n
+            Q[shift] = c
+            for j, b in terms:
+                R[shift + j] -= c * b
+    return _fractions(Q, e, d * S), _fractions(R, 1, d * S)
 
 
 def poly_mod(p: Coeffs, m: Coeffs) -> Coeffs:
@@ -109,8 +133,17 @@ def poly_mod(p: Coeffs, m: Coeffs) -> Coeffs:
 
 def _numerators(p: Coeffs) -> tuple[list[int], int]:
     """(P, d) with p = P/d, P an integer vector and d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in p))
+    # lcm of a list: unpacking a generator grows a tuple, stranding tuples in CPython's free lists
+    d = lcm(*[c.denominator for c in p])
     return [c.numerator * (d // c.denominator) for c in p], d
+
+
+def _fractions(P: Sequence[int], num: int, den: int) -> Coeffs:
+    """The polynomial P*num/den for an integer vector P: trailing zeros stripped, one Fraction each."""
+    k = len(P)
+    while k and not P[k - 1]:
+        k -= 1
+    return tuple([Fraction(num * x, den) for x in P[:k]])
 
 
 def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
@@ -162,7 +195,7 @@ def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
             r = [x // content for x in r]
             s = [x // content for x in s]
         r0, s0, r1, s1 = r1, s1, r, s
-    return poly(Fraction(d * x, r1[0]) for x in s1)
+    return _fractions(s1, d, r1[0])
 
 
 def poly_eval(p: Coeffs, x):

@@ -1,12 +1,15 @@
 """Fixed-point models, the unit identity, and the cyclic presets."""
 
+import runpy
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbk3 import inertia
 from orbk3.cyclotomic import Cyclotomic, ExactnessError
 from orbk3.inertia import (
     FIXED_POINT_TABLE,
@@ -111,6 +114,23 @@ def test_solver_inverts_once_per_divisor(inverse_calls):
     # each solved once, smallest first
     assert solve_fixed_points_cyclic(8) == 2
     assert sorted(inverse_calls) == [1, 2, 4]
+
+
+FIXED_POINT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fixed_point_table.py"
+
+
+def test_fixed_point_script_checks_each_identity_once(capsys, inverse_calls):
+    # per order n = 2..8: the solver's d(n) - 1 inverses (12 in all) and one preset
+    # built once, one inverse per distinct eigenvalue (28 in all)
+    assert runpy.run_path(str(FIXED_POINT_SCRIPT))["main"]() == 0
+    assert capsys.readouterr().out.count("1 (ok)") == 7
+    assert len(inverse_calls) == 40
+
+
+def test_fixed_point_script_fails_on_identity_error(capsys, monkeypatch):
+    monkeypatch.setattr(inertia, "validate_identity", lambda model: Fraction(2))
+    assert runpy.run_path(str(FIXED_POINT_SCRIPT))["main"]() == 1
+    assert capsys.readouterr().out.count("2 (MISMATCH)") == 7
 
 
 @pytest.mark.parametrize("n", [0, -1, -3])

@@ -1,11 +1,15 @@
 """Polynomial plumbing and quotient-ring residues."""
 
+import gc
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbk3.cyclotomic import Cyclotomic, euler_phi
 from orbk3.polyring import (
     QuotientRing,
     monomial,
@@ -41,6 +45,58 @@ def test_divmod_is_exact_division(p, m):
     q, r = poly_divmod(p, m)
     assert poly_add(poly_mul(q, m), r) == p
     assert len(r) < len(m)
+
+
+coefficients = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+
+
+@st.composite
+def division_problems(draw):
+    # any nonzero lead: non-monic, negative and fractional moduli; deg p - deg m from
+    # -deg m - 1 (p shorter than m, p = 0 included) up to 12
+    lower = draw(st.lists(coefficients, max_size=6))
+    m = poly(lower + [draw(coefficients.filter(bool))])
+    size = draw(st.integers(0, len(m) + 12))
+    return poly(draw(st.lists(coefficients, min_size=size, max_size=size))), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_problems())
+def test_divmod_matches_sympy(problem):
+    sympy = pytest.importorskip("sympy")
+    p, m = problem
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)) or [0], sympy.Symbol("x"), domain=sympy.QQ)
+
+    def from_sympy(a):
+        return poly(Fraction(int(c.p), int(c.q)) for c in reversed(a.all_coeffs()))
+
+    q, r = to_sympy(p).div(to_sympy(m))
+    assert poly_divmod(p, m) == (from_sympy(q), from_sympy(r))
+
+
+def test_products_retain_no_memory():
+    # 4000 products in Q(zeta_L): the kernels build their int and Fraction vectors from
+    # lists, so nothing is stranded in CPython's free lists between calls
+    rng = random.Random(0)
+    orders = (12, 15, 20, 24, 30, 36, 40, 60)
+
+    def element(L):
+        return Cyclotomic(L, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(L))])
+
+    pairs = [(element(L), element(L)) for L in orders for _ in range(500)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a, b in pairs:
+            a * b
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def _gcd_over_q(a, b):

@@ -336,11 +336,8 @@ def char_inner_product_elementwise(chi: Character, psi: Character) -> Fraction:
 
 
 def invariant_dimension(chi: Character) -> Fraction:
-    """dim V^G = (1/|G|) sum_g chi(g); must be a non-negative integer."""
-    total = Cyclotomic.zero()
-    for c, value in zip(chi.group.classes, chi.values):
-        total = total + value * len(c.members)
-    dim = (total * Fraction(1, chi.group.order)).as_rational()
+    """dim V^G = <1, chi>; must be a non-negative integer."""
+    dim = char_inner_product(trivial_character(chi.group), chi)
     if dim.denominator != 1 or dim < 0:
         raise GroupError(f"invariant dimension {dim} is not a non-negative integer")
     return dim

@@ -3,9 +3,9 @@
 A model records, per nontrivial conjugacy class, the orbits of the fixed
 locus: stabilizer order, the differential's eigenvalue (a primitive root of
 unity of the representative's order), and orbit multiplicity.  The built-in
-cyclic presets encode the known fixed-point counts for symplectic
-automorphisms of order 2..8, and every model can be checked against the
-exact unit identity
+cyclic presets encode the known fixed-point counts and local types of
+symplectic automorphisms of order 2..8, and every model can be checked
+against the exact unit identity
 
     1/|G| + (1/4) sum 1/(|G_ij| (1 - Re lambda_ij)) = 1.
 """
@@ -117,6 +117,11 @@ class K3GModel:
                 raise ModelError(
                     "eigenvalue order must equal the order of the class representative"
                 )
+            if s.stabilizer_order % s.eig_order != 0:
+                raise ModelError(
+                    f"stabilizer order {s.stabilizer_order} is not a multiple of the eigenvalue"
+                    f" order {s.eig_order}: the stabilizer must contain the group element"
+                )
         if validate:
             residual = validate_identity(self)
             if residual != 1:
@@ -182,12 +187,20 @@ def _exact_stabilizer_counts(n: int) -> dict[int, int]:
     return t
 
 
+# Local types of the points fixed by all of Z/n (Nikulin 1979): g acts on the tangent
+# plane at such a point as (zeta_n^a, zeta_n^-a), one a per point.  Other points, and
+# every point for the orders not listed, have type a = 1.
+LOCAL_TYPES = {5: (1, 1, 2, 2), 7: (1, 2, 4), 8: (1, 3)}
+
+
 def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
     """The model for a symplectic automorphism of order n, 2 <= n <= 8.
 
-    The class of g^k carries the eigenvalue zeta_n^k uniformly over its
-    orbits.  Points with stabilizer of exact order d contribute t_d * d / n
-    orbits with |G_ij| = d to the sector of every power fixing them.
+    Points with stabilizer of exact order d contribute t_d * d / n orbits
+    with |G_ij| = d to the sector of every power fixing them.  An orbit of
+    local type a (`LOCAL_TYPES`) gives g^k the eigenvalue zeta_n^(k*a) there,
+    so every g != 1 satisfies the holomorphic Lefschetz formula
+    sum_p 1/(1 - Re lambda_p) = 4.
     """
     if not (2 <= n <= MAX_SYMPLECTIC_ORDER):
         raise ModelError(f"cyclic preset requires 2 <= n <= {MAX_SYMPLECTIC_ORDER}")
@@ -200,6 +213,7 @@ def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
                 continue  # these points are not fixed by g^k
             orbits = count * d // n
             assert count * d % n == 0
+            types = LOCAL_TYPES.get(n, ()) if d == n else ()
             # one entry per orbit, so equivariant classes carry one twisted
             # component per fixed-point orbit
             sectors.extend(
@@ -207,10 +221,10 @@ def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
                     class_index=k - 1,
                     stabilizer_order=d,
                     eig_order=order_k,
-                    eig_exp=(k // gcd(n, k)) % order_k,
+                    eig_exp=(k // gcd(n, k)) * a % order_k,
                     multiplicity=1,
                 )
-                for _ in range(orbits)
+                for a in types or (1,) * orbits
             )
     return K3GModel(cyclic_group(n), sectors, lattice or _default_lattice())
 

@@ -4,10 +4,11 @@ Polynomials are plain tuples of Fractions in ascending degree, with trailing
 zeros stripped; the zero polynomial is the empty tuple.  A residue in Q[x]/(m)
 is exactly deg m coefficients, padded with zeros.  `QuotientRingElement` does
 all residue arithmetic; Q(zeta_L) and Z[x]/(x^n - 1) are subclasses of it.
-Division with remainder and inversion both run on integer numerators: each
-operand is written as an integer vector over one denominator, the work is
-pseudo-division in Z[x], and one Fraction per output coefficient is built at
-the end.  `integer` and `integers` are the one integer coercion of every
+Division with remainder and inversion both run on integer numerators, each
+operand an integer vector over one denominator, through one pseudo-division
+routine in Z[x], `_pseudo_divmod`: division calls it once, inversion once per
+step of its remainder sequence.  One Fraction per output coefficient is built
+at the end.  `integer` and `integers` are the one integer coercion of every
 loader.
 """
 
@@ -93,19 +94,28 @@ def poly_scale(p: Coeffs, c) -> Coeffs:
 def poly_divmod(p: Coeffs, m: Coeffs) -> tuple[Coeffs, Coeffs]:
     """Exact division with remainder over Q, by pseudo-division in Z[x].
 
-    Write p = P/d and m = M/e with P, M integral (`_numerators`), and let l be
-    the lead of M.  Each step takes the top coefficient c of R (first P) and
-    g = gcd(c, l), scales R and Q by f = l/g and subtracts (c/g)*x^s*M, which
-    cancels the top term; S is the product of the f, so S*P = Q*M + R
-    throughout.  The quotient is then Q*e/(d*S) and the remainder R/(d*S).
-    For a monic modulus (Phi_L, x^n - 1 and every modulus the library builds)
-    f is always 1.  No Fraction is built until the end.  Raises
-    ZeroDivisionError on a zero divisor.
+    Write p = P/d and m = M/e with P, M integral (`_numerators`);
+    `_pseudo_divmod` gives S*P = Q*M + R, so the quotient is Q*e/(d*S) and
+    the remainder R/(d*S).  For a monic modulus (Phi_L, x^n - 1 and every
+    modulus the library builds) S is 1.  No Fraction is built until the end.
+    Raises ZeroDivisionError on a zero divisor.
     """
     if not m:
         raise ZeroDivisionError("polynomial division by zero")
     R, d = _numerators(p)
     M, e = _numerators(m)
+    Q, R, S = _pseudo_divmod(R, M)
+    return _fractions(Q, e, d * S), _fractions(R, 1, d * S)
+
+
+def _pseudo_divmod(R: list[int], M: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(Q, R, S) with S*P = Q*M + R and deg R < deg M, for integer vectors P and M.
+
+    P is passed as R and consumed; l is the (nonzero) lead of M.  Each step
+    takes the top coefficient c of R and g = gcd(c, l), scales R and Q by
+    f = l/g and subtracts (c/g)*x^s*M, which cancels the top term; S is the
+    product of the f.  R is returned without trailing zeros.
+    """
     n, lead = len(M), M[-1]
     # zero coefficients of the modulus are skipped; Phi_L and x^n - 1 are sparse
     terms = [(j, b) for j, b in enumerate(M[:-1]) if b]
@@ -124,7 +134,9 @@ def poly_divmod(p: Coeffs, m: Coeffs) -> tuple[Coeffs, Coeffs]:
             Q[shift] = c
             for j, b in terms:
                 R[shift + j] -= c * b
-    return _fractions(Q, e, d * S), _fractions(R, 1, d * S)
+    while R and not R[-1]:
+        R.pop()
+    return Q, R, S
 
 
 def poly_mod(p: Coeffs, m: Coeffs) -> Coeffs:
@@ -149,12 +161,12 @@ def _fractions(P: Sequence[int], num: int, den: int) -> Coeffs:
 def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
     """The inverse of a in Q[x]/(m), by a fraction-free extended Euclid.
 
-    a = A/d with A in Z[x].  The remainder sequence of (m, A) runs in Z[x] by
-    pseudo-division, and after each division the remainder and the cofactor
-    of A are divided by their joint content (the primitive remainder sequence,
-    Collins 1967), so no Fraction is built until the end.  The invariant is
-    r = s*A mod m; the last nonzero remainder is a constant c, so the inverse
-    is d*s/c.  The cofactor of m is never needed and not computed.
+    a = A/d with A in Z[x].  The remainder sequence of (m, A) runs in Z[x]:
+    each step is one `_pseudo_divmod(r0, r1) = (Q, r, S)`, so r = S*r0 - Q*r1,
+    and the cofactor of A is s = S*s0 - Q*s1; r and s are then divided by
+    their joint content (the primitive remainder sequence, Collins 1967).  The
+    invariant is r = s*A mod m; the last nonzero remainder is a constant c, so
+    the inverse is d*s/c.  The cofactor of m is never needed and not computed.
 
     Raises ZeroDivisionError when a = 0 mod m, and ValueError when m is a
     constant or gcd(a, m) is not.
@@ -169,25 +181,12 @@ def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
     r1, d = _numerators(a)
     s1 = [1]
     while len(r1) > 1:
-        r, s = list(r0), list(s0)
-        *low, lead = r1
-        while len(r) >= len(r1):
-            c = r.pop()
-            if c:
-                # lead*r - c*x^shift*r1 cancels the top term; scale by lead/g only
-                g = gcd(c, lead)
-                f, c = lead // g, c // g
-                shift = len(r) + 1 - len(r1)
-                if f != 1:
-                    r = [f * x for x in r]
-                    s = [f * x for x in s]
-                for j, b in enumerate(low):
-                    r[shift + j] -= c * b
-                s += [0] * (shift + len(s1) - len(s))
-                for j, b in enumerate(s1):
-                    s[shift + j] -= c * b
-        while r and not r[-1]:
-            r.pop()
+        # r0 is consumed: the sequence never reads it again
+        Q, r, S = _pseudo_divmod(r0, r1)
+        s = [S * x for x in s0] + [0] * (len(Q) + len(s1) - 1 - len(s0))
+        for i, q in enumerate(Q):
+            for j, b in enumerate(s1):
+                s[i + j] -= q * b
         if not r:
             raise ValueError("not invertible: gcd with the modulus has positive degree")
         content = gcd(*r, *s)

@@ -54,6 +54,12 @@ def _stabilizer_not_dividing_order():
     K3GModel(model.group, [SectorEntry(0, 3, 2, 1, 1)], model.lattice, validate=False)
 
 
+def _stabilizer_without_element():
+    # the class of g has order 4, so a point it fixes has a stabilizer of order 4
+    model = preset_cyclic(4)
+    K3GModel(model.group, [SectorEntry(0, 1, 4, 1, 1)], model.lattice, validate=False)
+
+
 # Each call raises the exception type next to it.
 RAISES = {
     "cyclotomic-polynomial-0": (ValueError, lambda: cyclotomic_polynomial(0)),
@@ -84,6 +90,7 @@ RAISES = {
     ),
     "closed-form-10": (ModelError, lambda: fixed_points_closed_form(10)),  # 4/3
     "stabilizer-not-dividing": (ModelError, _stabilizer_not_dividing_order),
+    "stabilizer-without-element": (ModelError, _stabilizer_without_element),
     "ample-length": (LatticeError, lambda: PicardLattice([[2]], [1, 0])),
     "intersect-length": (LatticeError, lambda: fermat_quotient_lattice().intersect((1, 0), (1,))),
     "declared-rank": (LatticeError, lambda: PicardLattice.from_json({"rank": 2, "gram": [[2]], "ample": [1]})),
@@ -139,10 +146,10 @@ def _class_file(key, value):
     return ["--preset", "cyclic:2", "--class"], data
 
 
-def _model_file(key, value, section="sectors"):
-    data = preset_cyclic(2).to_json()
+def _model_file(key, value, section="sectors", n=2, flags=()):
+    data = preset_cyclic(n).to_json()
     (data[section][0] if section == "sectors" else data[section])[key] = value
-    return ["--class", "OX", "--model"], data
+    return ["--class", "OX", *flags, "--model"], data
 
 
 # argv cases that exit 2 with an `error:` line; a (flags, document) pair runs `dim` with the
@@ -161,6 +168,8 @@ EXIT_2 = {
     "group-order-2.0": _model_file("order", 2.0, "group"),
     "lattice-rank-true": _model_file("rank", True, "lattice"),
     "lattice-rank-1.0": _model_file("rank", 1.0, "lattice"),
+    # the identity is not checked, but the stabilizer of an orbit of g must contain g
+    "stabilizer-1-no-validate": _model_file("stabilizer", 1, n=4, flags=("--no-validate", "--json")),
     "gram-2.9": ["check-hypotheses", "--r", "1", "--s", "1", "--gram", "[[2.9]]"],
     "gram-with-d": ["check-hypotheses", "--r", "1", "--s", "1", "--gram", "[[2]]", "--d", "5"],
     "ample-without-gram": ["check-hypotheses", "--r", "1", "--s", "1", "--d", "3", "--ample", "7"],

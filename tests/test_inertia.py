@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from orbk3 import inertia
 from orbk3.cyclotomic import Cyclotomic, ExactnessError
+from orbk3.groups import abelian_character_table
+from orbk3.hrr import EquivariantClass, euler_pairing, structure_sheaf_class
 from orbk3.inertia import (
     FIXED_POINT_TABLE,
     IdentityError,
@@ -131,6 +133,48 @@ def test_fixed_point_script_fails_on_identity_error(capsys, monkeypatch):
     monkeypatch.setattr(inertia, "validate_identity", lambda model: Fraction(2))
     assert runpy.run_path(str(FIXED_POINT_SCRIPT))["main"]() == 1
     assert capsys.readouterr().out.count("2 (MISMATCH)") == 7
+
+
+def per_class_sums(model):
+    """class index -> (sum_p 1/(1 - Re lambda_p), #X^g): an orbit counts |G|/|G_ij| points."""
+    sums = {}
+    for s, weight in zip(model.sectors, model.sector_weights()):
+        total, points = sums.get(s.class_index, (Cyclotomic.zero(), 0))
+        sums[s.class_index] = (
+            total + weight * model.group.order,
+            points + s.multiplicity * model.group.order // s.stabilizer_order,
+        )
+    return sums
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_preset_satisfies_holomorphic_lefschetz_per_class(n):
+    # chi_g(O_X) = sum_p 1/det(1 - dg_p) = 2 for every g != 1, i.e. sum_p 1/(1 - Re lambda_p) = 4
+    model = preset_cyclic(n)
+    sums = per_class_sums(model)
+    assert sorted(sums) == list(range(n - 1))
+    assert all(total.as_rational() == 4 for total, _ in sums.values())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_preset_point_count_per_class(n):
+    model = preset_cyclic(n)
+    for index, (_, points) in per_class_sums(model).items():
+        rep = model.classes[index + 1].representative
+        assert points == fixed_points_closed_form(model.group.element_order(rep))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_preset_twisted_structure_sheaf_pairings(n):
+    # H^0(O) and H^2(O) are trivial representations of a symplectic G, so
+    # chi(O, O (x) chi) is 2 for the trivial character and 0 for every other
+    model = preset_cyclic(n)
+    structure = structure_sheaf_class(model)
+    values = []
+    for chi in abelian_character_table(model.group):
+        twisted = tuple(chi.values[s.class_index + 1] for s in model.sectors)
+        values.append(euler_pairing(model, structure, EquivariantClass(structure.mukai, twisted)))
+    assert sorted(values) == [0] * (n - 1) + [2]
 
 
 @pytest.mark.parametrize("n", [0, -1, -3])

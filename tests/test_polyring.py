@@ -60,20 +60,21 @@ def division_problems(draw):
     return poly(draw(st.lists(coefficients, min_size=size, max_size=size))), m
 
 
+def _to_sympy(sympy, a):
+    return sympy.Poly(list(reversed(a)) or [0], sympy.Symbol("x"), domain=sympy.QQ)
+
+
+def _from_sympy(a):
+    return poly(Fraction(int(c.p), int(c.q)) for c in reversed(a.all_coeffs()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(division_problems())
 def test_divmod_matches_sympy(problem):
     sympy = pytest.importorskip("sympy")
     p, m = problem
-
-    def to_sympy(a):
-        return sympy.Poly(list(reversed(a)) or [0], sympy.Symbol("x"), domain=sympy.QQ)
-
-    def from_sympy(a):
-        return poly(Fraction(int(c.p), int(c.q)) for c in reversed(a.all_coeffs()))
-
-    q, r = to_sympy(p).div(to_sympy(m))
-    assert poly_divmod(p, m) == (from_sympy(q), from_sympy(r))
+    q, r = _to_sympy(sympy, p).div(_to_sympy(sympy, m))
+    assert poly_divmod(p, m) == (_from_sympy(q), _from_sympy(r))
 
 
 def test_products_retain_no_memory():
@@ -109,6 +110,7 @@ def _gcd_over_q(a, b):
 @settings(max_examples=150, deadline=None)
 @given(polys, polys, polys, st.booleans())
 def test_inverse_mod(a, m, common, share):
+    sympy = pytest.importorskip("sympy")
     if share and len(common) > 1 and a:
         # a shared factor of positive degree is never invertible
         a, m = poly_mul(a, common), poly_mul(m, common)
@@ -125,6 +127,8 @@ def test_inverse_mod(a, m, common, share):
         inv = poly_inverse_mod(a, m)
         assert len(inv) < len(m)
         assert poly_divmod(poly_mul(a, inv), m)[1] == poly((1,))
+        # an oracle that shares no code with the kernel
+        assert inv == _from_sympy(sympy.invert(_to_sympy(sympy, a), _to_sympy(sympy, m)))
 
 
 def test_inverse_mod_worked_examples():

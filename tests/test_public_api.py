@@ -1,7 +1,10 @@
 """The names the orbk3 package exports are part of its public contract."""
 
+import importlib
 import inspect
+import runpy
 import types
+from pathlib import Path
 
 import orbk3
 
@@ -138,3 +141,30 @@ def _signatures():
 
 def test_public_signatures():
     assert dict(_signatures()) == SIGNATURES
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Benchmark span targets that name no callable of the library, so their spans read 0 calls:
+# inversion is `poly_inverse_mod`, and residue arithmetic is on `QuotientRingElement`.
+DEAD_SPAN_TARGETS = {
+    ("polyring", "poly_xgcd"),
+    ("cyclotomic", "Cyclotomic.__mul__"),
+    ("cyclotomic", "Cyclotomic.__add__"),
+    ("cyclotomic", "Cyclotomic.inverse"),
+}
+
+
+def test_benchmark_span_targets():
+    # each target is looked up as the benchmark tracer does, in vars() of its module or
+    # class, so renaming a traced callable fails here instead of zeroing a per-layer metric
+    unresolved = set()
+    for targets in runpy.run_path(str(TRACING))["SPANS"].values():
+        for module_name, attr in targets:
+            cls_name, _, fn_name = attr.rpartition(".")
+            owner = importlib.import_module(f"orbk3.{module_name}")
+            if cls_name:
+                owner = getattr(owner, cls_name, None)
+            if owner is None or vars(owner).get(fn_name) is None:
+                unresolved.add((module_name, attr))
+    assert unresolved == DEAD_SPAN_TARGETS

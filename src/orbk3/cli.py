@@ -11,6 +11,12 @@ type to the exit code and one stderr line: 0 success; 2 usage or schema error
 --model and --preset are exclusive.  A class-file entry in Q(zeta_L) is rejected
 when lcm(L, ambient) > max(ambient, 840), ambient being the lcm of the model's
 eigenvalue orders, because the pairing computes in Q(zeta_lcm(L, ambient)).
+
+`main(argv)` may be called repeatedly in one process.  The parser is built on
+the first call and reused (`build_parser` is cached); argparse keeps all parse
+state local to each `parse_args` call.  The subcommand functions are bound
+once, when the parser is built, so rebinding a `cmd_*` name later does not
+reach `main`.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 from . import __version__
 from .cyclotomic import ExactnessError
@@ -224,6 +231,7 @@ def cmd_check_hypotheses(args):
     return payload, "\n".join(f"{key} = {value}" for key, value in payload.items())
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbk3",

@@ -119,6 +119,8 @@ class MukaiVector:
         return MukaiVector(self.r, tuple(-x for x in self.c1), self.s)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
+        if len(self.c1) != len(other.c1):
+            raise LatticeError(f"c1 lengths differ: {len(self.c1)} and {len(other.c1)}")
         return MukaiVector(
             self.r + other.r,
             tuple(a + b for a, b in zip(self.c1, other.c1)),

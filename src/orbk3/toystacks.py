@@ -15,7 +15,7 @@ from math import comb, prod
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
-from .polyring import QuotientRing, QuotientRingElement, monomial, poly, poly_fold, poly_mul
+from .polyring import QuotientRing, QuotientRingElement, integers, monomial, poly, poly_fold, poly_mul
 
 
 class ToyStackError(ValueError):
@@ -95,7 +95,7 @@ def parseval_check(f: GroupRingElement, g: GroupRingElement) -> bool:
 
 def wps_ring(weights) -> QuotientRing:
     """K(P(a_0..a_n)) = Z[x] / ((x^{a_0}-1) ... (x^{a_n}-1))."""
-    weights = tuple(int(a) for a in weights)
+    weights = _wps_weights(weights)
     if len(weights) < 2 or any(a < 1 for a in weights):
         raise ToyStackError("need at least two positive weights")
     modulus = poly((1,))
@@ -104,9 +104,17 @@ def wps_ring(weights) -> QuotientRing:
     return QuotientRing(modulus)
 
 
+def _wps_weights(weights) -> tuple[int, ...]:
+    """The weights as exact ints (`polyring.integers`): 1.5, True and "2" are rejected."""
+    try:
+        return integers(weights)
+    except TypeError as exc:
+        raise ToyStackError(f"weights must be integers: {exc}") from exc
+
+
 def _wps_factors(weights) -> tuple[QuotientRing, list[QuotientRingElement]]:
     """The K-ring of P(weights) and its factors 1 - x^{-a}, one per weight; x is inverted once."""
-    weights = tuple(int(a) for a in weights)
+    weights = _wps_weights(weights)
     ring = wps_ring(weights)
     x_inverse = ring.x_inverse()
     return ring, [ring.one - x_inverse ** a for a in weights]

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, JSON mode, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -111,29 +112,28 @@ def test_unit_identity_is_evaluated_once(capsys, inverse_calls, argv, inverses):
     assert (code, len(inverse_calls)) == (0, inverses)
 
 
-def test_verify_identity_bad_model(capsys, tmp_path):
+def _bad_model_file(tmp_path) -> str:
+    """A model file whose unit identity fails: cyclic:2 with one orbit dropped."""
     good = preset_cyclic(2)
     sectors = list(good.sectors)[:-1]  # drop one orbit: identity now < 1
     model = K3GModel(good.group, sectors, good.lattice, validate=False)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(model.to_json()))
-    code, _, err = run(capsys, "verify-identity", "--model", str(path))
+    return str(path)
+
+
+def test_verify_identity_bad_model(capsys, tmp_path):
+    code, _, err = run(capsys, "verify-identity", "--model", _bad_model_file(tmp_path))
     assert code == 3
     assert "FAILED" in err
 
 
 def test_model_load_validation_exit_code(capsys, tmp_path):
-    good = preset_cyclic(2)
-    sectors = list(good.sectors)[:-1]
-    model = K3GModel(good.group, sectors, good.lattice, validate=False)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(model.to_json()))
+    path = _bad_model_file(tmp_path)
     # dim validates the model on load unless --no-validate is passed
-    code, _, err = run(capsys, "dim", "--model", str(path), "--class", "Op")
+    code, _, err = run(capsys, "dim", "--model", path, "--class", "Op")
     assert code == 3
-    code, out, _ = run(
-        capsys, "dim", "--model", str(path), "--class", "Op", "--no-validate", "--json"
-    )
+    code, out, _ = run(capsys, "dim", "--model", path, "--class", "Op", "--no-validate", "--json")
     assert code == 0
 
 
@@ -529,3 +529,65 @@ def test_class_entry_exit_codes(capsys, tmp_path, case):
     assert code == want_code, err
     if want_code:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+# main builds its parser on the first call and reuses it: the top level, the --json parent
+# and the eight subcommands are ten ArgumentParsers.
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    calls = [
+        ["fixed-points", "--order", "5"],
+        ["fixed-points", "--order", "9"],
+        ["fixed-points", "--bogus"],
+        ["bg-count", "--n", "2", "--degree", "3", "--json"],
+        ["fixed-points", "--order", "5"],
+    ]
+    seen = []
+    for argv in calls:
+        before = len(built)
+        code, _, _ = run(capsys, *argv)
+        seen.append((code, len(built) - before))
+    assert seen == [(0, 10), (2, 0), (2, 0), (0, 0), (0, 0)]
+
+
+# Sequences on the shared parser, each call next to the same argv on a freshly built one:
+# a flag, a --json switch or an exclusive-group conflict of one call must not reach the next.
+SHARED_PARSER_SEQUENCES = {
+    "no-validate": [
+        (["dim", "--model", "{bad}", "--no-validate", "--class", "OX"], 0),
+        (["dim", "--model", "{bad}", "--class", "OX"], 3),
+    ],
+    "json": [
+        (["dim", "--preset", "cyclic:3", "--class", "TX", "--json"], 0),
+        (["dim", "--preset", "cyclic:3", "--class", "TX"], 0),
+    ],
+    "exclusive-group": [
+        (["dim", "--model", "{bad}", "--preset", "cyclic:2", "--class", "OX"], 2),
+        (["dim", "--preset", "cyclic:2", "--class", "OX"], 0),
+    ],
+    "usage-error": [
+        (["fixed-points", "--order", "9"], 2),
+        (["fixed-points", "--order", "5"], 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_PARSER_SEQUENCES))
+def test_no_state_leaks_between_calls(capsys, tmp_path, case):
+    bad = _bad_model_file(tmp_path)
+    sequence = [([a.format(bad=bad) for a in argv], code) for argv, code in SHARED_PARSER_SEQUENCES[case]]
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv, _ in sequence]
+    fresh = []
+    for argv, _ in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [code for _, code in sequence]

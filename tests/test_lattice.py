@@ -78,6 +78,12 @@ def test_dual_involution():
     assert mukai_pairing(lat, v.dual(), w.dual()) == mukai_pairing(lat, v, w)
 
 
+def test_sum_needs_equal_c1_lengths():
+    assert MukaiVector(1, (1, 2), 0) + MukaiVector(1, (3, 4), -1) == MukaiVector(2, (4, 6), -1)
+    with pytest.raises(LatticeError, match="c1 lengths differ"):
+        MukaiVector(1, (1, 2), 0) + MukaiVector(1, (1,), 0)
+
+
 def test_primitivity():
     assert MukaiVector(1, (0,), -3).is_primitive()
     assert not MukaiVector(2, (0,), -22).is_primitive()

@@ -196,6 +196,13 @@ def test_wps_rejects_bad_weights():
         wps_ring((0, 1))
 
 
+@pytest.mark.parametrize("weights", [(1.5, 2), (True, 2), ("2", 3)], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("build", [wps_ring, wps_euler_class_tangent, wps_relation_element])
+def test_wps_weights_must_be_integers(build, weights):
+    with pytest.raises(ToyStackError, match="weights must be integers"):
+        build(weights)
+
+
 # -- P(2,3) twisted characters -----------------------------------------------
 
 

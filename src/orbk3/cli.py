@@ -8,9 +8,10 @@ type to the exit code and one stderr line: 0 success; 2 usage or schema error
 3 model-integrity (unit identity) failure ("model integrity failure: ...");
 4 internal-consistency failure ("internal consistency failure: ...").
 
---model and --preset are exclusive.  A class-file entry in Q(zeta_L) is rejected
-when lcm(L, ambient) > max(ambient, 840), ambient being the lcm of the model's
-eigenvalue orders, because the pairing computes in Q(zeta_lcm(L, ambient)).
+--model and --preset are exclusive.  A class file whose entries lie in
+Q(zeta_L1), ..., Q(zeta_Lk) is rejected when lcm(ambient, L1, ..., Lk) >
+max(ambient, 840), ambient being the lcm of the model's eigenvalue orders,
+because `dim` pairs the class with itself in Q(zeta_lcm(ambient, L1, ..., Lk)).
 
 `main(argv)` may be called repeatedly in one process.  The parser is built on
 the first call and reused (`build_parser` is cached); argparse keeps all parse

@@ -13,6 +13,13 @@ with no arithmetic in the field, so a sum of a rational function over all
 primitive m-th roots of unity costs one evaluation in Q(zeta_m) and one trace;
 `sum_inverse_one_minus_cos` inverts once per divisor of n this way.  Hashing
 uses the normalized trace Tr(a)/phi(L), which embedding preserves.
+
+Reduction mod Phi_L is linear, so a sum of products need not be reduced term
+by term (GAP's `cyclotom.c`, Breuer 1997).  `sesquilinear_sum` returns
+sum c*conj(a)*b over triples of mixed orders: each factor is embedded into
+Q[x]/(x^L - 1), L the lcm of all the orders, by one `poly_fold` (conjugation
+is the same fold with a negative exponent), the products accumulate there,
+and the sum is reduced mod Phi_L once.  The orbifold pairing runs on it.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .polyring import (
     poly,
     poly_divmod,
     poly_fold,
+    poly_mul,
 )
 
 
@@ -176,6 +184,25 @@ class Cyclotomic(QuotientRingElement):
 
     def __repr__(self) -> str:
         return format_cyclotomic(self)
+
+
+def sesquilinear_sum(terms) -> Cyclotomic:
+    """sum of c * conj(a) * b over (c, a, b) triples of Cyclotomics or rationals, exact.
+
+    The sum lives in Q(zeta_L), L the lcm of all the orders.  Each product is
+    taken in Q[x]/(x^L - 1), where x^L = 1, and folded into one length-L
+    accumulator; Phi_L divides x^L - 1, so one reduction mod Phi_L at the end
+    gives the same residue as reducing every term.
+    """
+    terms = [[Cyclotomic.coerce(x) for x in term] for term in terms]
+    # lcm of a list: unpacking a generator grows a tuple, stranding tuples in CPython's free lists
+    L = lcm(1, *[x.L for term in terms for x in term])
+    acc = [Fraction(0)] * L
+    for c, a, b in terms:
+        ca = poly_mul(poly_fold(c.coeffs, L // c.L, L), poly_fold(a.coeffs, -(L // a.L), L))
+        for k, x in enumerate(poly_mul(ca, poly_fold(b.coeffs, L // b.L, L))):
+            acc[k % L] += x
+    return Cyclotomic(L, acc)
 
 
 def root_of_unity(order: int, exponent: int = 1, L: int | None = None) -> Cyclotomic:

@@ -7,7 +7,10 @@ The pairing is
                mult * conj(v_ij) * w_ij / (|G_ij| (1 - Re lambda_ij))
 
 with all arithmetic in a cyclotomic field, so results are exact rationals
-whenever they are rational (and an ExactnessError otherwise).
+whenever they are rational (and an ExactnessError otherwise).  The twisted
+sum is accumulated once, in Q[x]/(x^L - 1) with L the lcm of the weight and
+entry orders, and reduced mod Phi_L once (`cyclotomic.sesquilinear_sum`);
+it is then halved and the untwisted term <v, w>_X / |G| added once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import MAX_PARSED_FIELD_ORDER, Cyclotomic, format_cyclotomic, parse_cyclotomic
+from .cyclotomic import (
+    MAX_PARSED_FIELD_ORDER,
+    Cyclotomic,
+    format_cyclotomic,
+    parse_cyclotomic,
+    sesquilinear_sum,
+)
 from .inertia import K3GModel
 from .lattice import MukaiVector, mukai_pairing
 
@@ -73,12 +82,17 @@ def orbifold_mukai_vector(model: K3GModel, x: EquivariantClass) -> OrbifoldMukai
         raise SectorMismatchError(
             f"class has {len(x.local_chars)} twisted entries, model has {len(model.sectors)} sectors"
         )
-    # the pairing embeds each entry into Q(zeta_lcm(L, ambient)); bound that field as parsing bounds L
+    # the pairing of the class with itself computes in Q(zeta_lcm) of the ambient order and
+    # every entry order; bound that field as parsing bounds L
     ambient = model.ambient_order()
     limit = max(ambient, MAX_PARSED_FIELD_ORDER)
-    for i, v in enumerate(x.local_chars):
-        if lcm(v.L, ambient) > limit:
-            raise SectorMismatchError(f"twisted entry {i}: lcm({v.L}, {ambient}) exceeds {limit}")
+    orders = sorted({v.L for v in x.local_chars})
+    field = lcm(ambient, *orders)
+    if field > limit:
+        raise SectorMismatchError(
+            f"twisted entries of orders {orders} with ambient order {ambient} need Q(zeta_{field}), "
+            f"beyond {limit}"
+        )
     return OrbifoldMukaiVector(x.mukai, x.local_chars)
 
 
@@ -87,13 +101,9 @@ def orbifold_mukai_pairing(
 ) -> Fraction:
     if len(v.twisted) != len(model.sectors) or len(w.twisted) != len(model.sectors):
         raise SectorMismatchError("orbifold Mukai vectors do not match the model")
-    total = Cyclotomic.from_rational(
-        Fraction(mukai_pairing(model.lattice, v.global_part, w.global_part), model.group.order)
-    )
-    half = Fraction(1, 2)
-    for weight, vij, wij in zip(model.sector_weights(), v.twisted, w.twisted):
-        total = total + vij.conjugate() * wij * weight * half
-    return total.as_rational()
+    twisted = sesquilinear_sum(zip(model.sector_weights(), v.twisted, w.twisted))
+    untwisted = Fraction(mukai_pairing(model.lattice, v.global_part, w.global_part), model.group.order)
+    return (twisted * Fraction(1, 2) + untwisted).as_rational()
 
 
 def euler_pairing(model: K3GModel, x: EquivariantClass, y: EquivariantClass) -> Fraction:

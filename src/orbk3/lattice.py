@@ -8,6 +8,7 @@ smooth irreducible symplectic manifolds.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
@@ -21,17 +22,26 @@ class LatticeError(ValueError):
     pass
 
 
+def _sequence(value, what: str):
+    """value when it is a sequence other than a string; else LatticeError."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
+        raise LatticeError(f"{what} must be a sequence, got {type(value).__name__}")
+    return value
+
+
 class PicardLattice:
     """A sublattice of NS(X) with a fixed ample class.
 
     The Gram matrix must be symmetric with even diagonal (the K3
     intersection form is even) and the ample class must have positive
-    self-intersection.  Entries must be integers (`polyring.integers`), so a
-    float, bool or numeric string is rejected rather than truncated.
+    self-intersection.  The matrix, each of its rows and the ample class must
+    be sequences, so a JSON object or string is not iterated as one, and the
+    entries integers (`polyring.integers`), so a float, bool or numeric string
+    is rejected rather than truncated.
     """
 
     def __init__(self, gram, ample):
-        g = tuple(integers(row) for row in gram)
+        g = tuple(integers(_sequence(row, "Gram matrix row")) for row in _sequence(gram, "Gram matrix"))
         rank = len(g)
         if any(len(row) != rank for row in g):
             raise LatticeError("Gram matrix must be square")
@@ -41,7 +51,7 @@ class PicardLattice:
             for j in range(rank):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        h = integers(ample)
+        h = integers(_sequence(ample, "ample class"))
         if len(h) != rank:
             raise LatticeError("ample class length must equal rank")
         self.gram = g

@@ -190,6 +190,10 @@ MALFORMED_INPUTS = {
     "field-order-100000": ("--class", ("twisted", 0), "c[100000]: 1"),
     "gram-not-json": ["--gram", "x"],
     "gram-not-a-matrix": ["--gram", "5"],
+    "gram-object": ["--gram", "{}"],
+    "gram-string": ["--gram", '""'],
+    "gram-row-object": ["--gram", "[{}]"],
+    "lattice-objects": ("--model", ("lattice",), {"gram": {}, "ample": {}}),
     "gram-entry-string": ["--gram", '[["a"]]'],
     "gram-entry-infinite": ["--gram", "[[1e400]]"],
     "ample-not-integers": ["--gram", "[[2]]", "--ample", "x"],
@@ -508,21 +512,23 @@ def test_model_and_preset_are_exclusive(capsys, tmp_path, command):
     assert out == "" and "error: argument --preset: not allowed with argument --model" in err
 
 
-# A built-in class written to a file with its first twisted entry replaced:
-# (cyclic order, class, entry, exit code).  The pairing embeds an entry of Q(zeta_L) into
-# Q(zeta_lcm(L, ambient)); that order may not exceed max(ambient, 840).
+# A built-in class written to a file with its first twisted entries replaced:
+# (cyclic order, class, entries, exit code).  The pairing computes in Q(zeta_lcm) of the
+# ambient order and the orders of all the entries; that order may not exceed
+# max(ambient, 840), although each entry alone may stay below it.
 CLASS_ENTRIES = {
-    "lcm-1678": (2, "TX", "c[839]: 1", 2),
-    "lcm-840": (8, "OX", "c[105]: 1", 0),
-    "irrational-pairing": (5, "OX", "c[5]: 1 + 1*z", 2),
+    "lcm-1678": (2, "TX", ["c[839]: 1"], 2),
+    "lcm-840": (8, "OX", ["c[105]: 1"], 0),
+    "lcm-34034": (2, "OX", ["c[7]: 1", "c[11]: 1", "c[13]: 1", "c[17]: 1"], 2),
+    "irrational-pairing": (5, "OX", ["c[5]: 1 + 1*z"], 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLASS_ENTRIES))
 def test_class_entry_exit_codes(capsys, tmp_path, case):
-    n, klass, entry, want_code = CLASS_ENTRIES[case]
+    n, klass, entries, want_code = CLASS_ENTRIES[case]
     data = BUILTIN_CLASSES[klass](preset_cyclic(n)).to_json()
-    data["twisted"][0] = entry
+    data["twisted"][: len(entries)] = entries
     path = tmp_path / "class.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "dim", "--preset", f"cyclic:{n}", "--class", str(path), "--json")

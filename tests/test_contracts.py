@@ -93,6 +93,10 @@ RAISES = {
     "stabilizer-without-element": (ModelError, _stabilizer_without_element),
     "ample-length": (LatticeError, lambda: PicardLattice([[2]], [1, 0])),
     "intersect-length": (LatticeError, lambda: fermat_quotient_lattice().intersect((1, 0), (1,))),
+    # a JSON object or string is not a matrix, a row or a class
+    "gram-object": (LatticeError, lambda: PicardLattice({}, ())),
+    "gram-row-string": (LatticeError, lambda: PicardLattice(["2"], [1])),
+    "ample-is-a-string": (LatticeError, lambda: PicardLattice([[2]], "1")),
     "declared-rank": (LatticeError, lambda: PicardLattice.from_json({"rank": 2, "gram": [[2]], "ample": [1]})),
     "constant-modulus": (ValueError, lambda: QuotientRing([1])),
     "group-ring-rank-0": (ToyStackError, lambda: GroupRingElement(0, ())),

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from orbk3.cyclotomic import (
     inverse_one_minus_re,
     parse_cyclotomic,
     root_of_unity,
+    sesquilinear_sum,
     sum_inverse_one_minus_cos,
 )
 from orbk3.polyring import poly, poly_divmod, poly_fold, poly_mul
@@ -253,6 +254,38 @@ def test_hash_is_invariant_under_embedding(data):
     assert hash(a) == hash(a.embed(M))
     if a.is_rational():
         assert hash(a) == hash(a.as_rational())
+
+
+def test_sesquilinear_sum_worked_values():
+    assert sesquilinear_sum([]) == 0 and sesquilinear_sum([]).L == 1
+    # |zeta_n^k|^2 = 1 for each k, so the n terms sum to n
+    for n in (3, 5, 8):
+        total = sesquilinear_sum((1, root_of_unity(n, k), root_of_unity(n, k)) for k in range(n))
+        assert total == n and total.L == n
+    # conj(zeta_4) = -zeta_4, and the weight may lie in another field than a and b
+    total = sesquilinear_sum([(Fraction(1, 2), root_of_unity(4), 1), (root_of_unity(3), 2, 3)])
+    assert total == -root_of_unity(4) / 2 + 6 * root_of_unity(3)
+    assert total.L == 12
+
+
+KERNEL_ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 24]
+kernel_factors = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from(KERNEL_ORDERS).flatmap(cyclo_elements),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(kernel_factors, kernel_factors, kernel_factors), max_size=4))
+def test_sesquilinear_sum_matches_the_sum_term_by_term(terms):
+    # the reference reduces every product mod Phi_L; the kernel reduces the sum once
+    expected = Cyclotomic.zero()
+    for c, a, b in terms:
+        expected = expected + c * Cyclotomic.coerce(a).conjugate() * b
+    total = sesquilinear_sum(terms)
+    orders = [x.L for term in terms for x in term if isinstance(x, Cyclotomic)]
+    assert total.L == expected.L == lcm(1, *orders)
+    assert total.coeffs == expected.coeffs
 
 
 def test_equal_elements_collapse_in_a_set():

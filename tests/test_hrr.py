@@ -1,12 +1,13 @@
 """The orbifold Mukai pairing and worked Euler characteristics."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbk3.cyclotomic import root_of_unity
+from orbk3.cyclotomic import Cyclotomic, ExactnessError, euler_phi, root_of_unity
 from orbk3.hrr import (
     EquivariantClass,
     SectorMismatchError,
@@ -19,7 +20,7 @@ from orbk3.hrr import (
     tangent_bundle_class,
 )
 from orbk3.inertia import preset_cyclic, trivial_model
-from orbk3.lattice import MukaiVector
+from orbk3.lattice import MukaiVector, mukai_pairing
 
 
 def test_tangent_bundle_worked_values():
@@ -156,3 +157,53 @@ def test_orbifold_mukai_vector_shape():
     assert omv.global_part == ox.mukai
     assert len(omv.twisted) == 8
     assert orbifold_mukai_pairing(model, omv, omv) == 2
+
+
+def _pairing_term_by_term(model, v, w):
+    # the reference: one conjugate, three ring multiplies and one reduction per sector
+    total = Cyclotomic.from_rational(
+        Fraction(mukai_pairing(model.lattice, v.global_part, w.global_part), model.group.order)
+    )
+    half = Fraction(1, 2)
+    for weight, vij, wij in zip(model.sector_weights(), v.twisted, w.twisted):
+        total = total + vij.conjugate() * wij * weight * half
+    return total.as_rational()
+
+
+_cached_preset = cache(preset_cyclic)
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def _twisted_entries(L):
+    coeffs = st.lists(_rationals, min_size=euler_phi(L), max_size=euler_phi(L))
+    return coeffs.map(lambda cs: Cyclotomic(L, cs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.booleans(), st.data())
+def test_pairing_matches_the_sum_term_by_term(n, self_pairing, data):
+    model = _cached_preset(n)
+    ambient = model.ambient_order()
+    entries = st.one_of(
+        _rationals,
+        st.sampled_from([1, 2, 3, 4, ambient]).flatmap(_twisted_entries),
+        st.integers(0, ambient - 1).map(lambda k: root_of_unity(ambient, k)),
+    )
+
+    def omv():
+        mukai = MukaiVector(data.draw(st.integers(-5, 5)), model.lattice.zero_class(), data.draw(st.integers(-5, 5)))
+        return orbifold_mukai_vector(
+            model, EquivariantClass(mukai, tuple(data.draw(entries) for _ in model.sectors))
+        )
+
+    v = omv()
+    w = v if self_pairing else omv()
+    try:
+        expected = _pairing_term_by_term(model, v, w)
+    except ExactnessError as exc:
+        # an irrational value: the same error, naming the same element of the same field
+        with pytest.raises(ExactnessError) as got:
+            orbifold_mukai_pairing(model, v, w)
+        assert str(got.value) == str(exc)
+        return
+    assert orbifold_mukai_pairing(model, v, w) == expected

@@ -1,6 +1,7 @@
 """Polynomial plumbing and quotient-ring residues."""
 
 import gc
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbk3.cyclotomic import Cyclotomic, euler_phi
+from orbk3.cyclotomic import Cyclotomic, euler_phi, sesquilinear_sum
 from orbk3.polyring import (
     QuotientRing,
     monomial,
@@ -77,27 +78,37 @@ def test_divmod_matches_sympy(problem):
     assert poly_divmod(p, m) == (_from_sympy(q), _from_sympy(r))
 
 
-def test_products_retain_no_memory():
-    # 4000 products in Q(zeta_L): the kernels build their int and Fraction vectors from
-    # lists, so nothing is stranded in CPython's free lists between calls
-    rng = random.Random(0)
-    orders = (12, 15, 20, 24, 30, 36, 40, 60)
-
-    def element(L):
-        return Cyclotomic(L, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(L))])
-
-    pairs = [(element(L), element(L)) for L in orders for _ in range(500)]
+def _retained_bytes(fn, inputs):
+    """Memory still traced after fn(*args) for every args in inputs and a collection."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for a, b in pairs:
-            a * b
+        for args in inputs:
+            fn(*args)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained < 64 * 1024
+
+
+def test_products_retain_no_memory():
+    # 4000 products in Q(zeta_L), then 1400 sesquilinear sums of two terms, each with its
+    # weight in a subfield: the kernels build their int and Fraction vectors from lists, so
+    # nothing is stranded in CPython's free lists between calls
+    rng = random.Random(0)
+
+    def element(L):
+        return Cyclotomic(L, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(L))])
+
+    pairs = [(element(L), element(L)) for L in (12, 15, 20, 24, 30, 36, 40, 60) for _ in range(500)]
+    assert _retained_bytes(operator.mul, pairs) < 64 * 1024
+    sums = [
+        ([(element(L // 2 if L % 2 == 0 else 1), element(L), element(L)), (Fraction(1, 2), element(L), 3)],)
+        for L in (3, 4, 5, 6, 7, 8, 12)
+        for _ in range(200)
+    ]
+    assert _retained_bytes(sesquilinear_sum, sums) < 64 * 1024
 
 
 def _gcd_over_q(a, b):

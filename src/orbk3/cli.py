@@ -5,13 +5,15 @@ Every number is printed exactly: rationals as p/q, cyclotomic values in the
 prints one of them.  A subcommand fails by raising; `main` maps the exception
 type to the exit code and one stderr line: 0 success; 2 usage or schema error
 ("error: ..."), also for model or class files whose pairing is not rational;
-3 model-integrity (unit identity) failure ("model integrity failure: ...");
-4 internal-consistency failure ("internal consistency failure: ...").
+3 model-integrity failure, a unit identity that is not 1, rational or not
+("model integrity failure: ..."); 4 internal-consistency failure
+("internal consistency failure: ...").
 
---model and --preset are exclusive.  A class file whose entries lie in
-Q(zeta_L1), ..., Q(zeta_Lk) is rejected when lcm(ambient, L1, ..., Lk) >
-max(ambient, 840), ambient being the lcm of the model's eigenvalue orders,
-because `dim` pairs the class with itself in Q(zeta_lcm(ambient, L1, ..., Lk)).
+--model and --preset are exclusive.  Values of field orders L1, ..., Lk meet
+in Q(zeta_M), M = lcm(L1, ..., Lk); a computation that would build a field of
+order M > 840 that none of its operands lives in exits 2 (`AmbientFieldError`).
+The rule holds wherever values meet: a class paired with itself (`dim`), two
+classes each fine alone (`euler_pairing(model, x, y)`), a character table.
 
 `main(argv)` may be called repeatedly in one process.  The parser is built on
 the first call and reused (`build_parser` is cached); argparse keeps all parse
@@ -29,7 +31,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .cyclotomic import ExactnessError
+from .cyclotomic import AmbientFieldError, ExactnessError
 from .groups import GroupError
 from .hilbert import CrossCheckError, HilbertError, enumerate_mu2
 from .hrr import BUILTIN_CLASSES, EquivariantClass, SectorMismatchError, euler_pairing
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (UsageError, ModelError, GroupError, SectorMismatchError, LatticeError, HilbertError,
-            ToyStackError) as exc:
+            ToyStackError, AmbientFieldError) as exc:
         # bad argument values, out-of-range presets and malformed descriptors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

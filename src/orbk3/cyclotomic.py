@@ -6,8 +6,9 @@ arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
 is obtained by dividing x^L - 1 by Phi_d over the proper divisors d of L.
 What is particular to the field lives here: operands of different orders
-meet in Q(zeta_lcm), and embedding and conjugation substitute a power of x
-and reduce, which, because x^L = 1 mod Phi_L, is one `poly_fold`.  The field
+meet in Q(zeta_lcm) (`_common_order`, the one place that bounds that field),
+and embedding and conjugation substitute a power of x and reduce, which,
+because x^L = 1 mod Phi_L, is one `poly_fold`.  The field
 trace Tr(a) = sum of the Galois conjugates of a is read off the coefficients
 with no arithmetic in the field, so a sum of a rational function over all
 primitive m-th roots of unity costs one evaluation in Q(zeta_m) and one trace;
@@ -91,11 +92,34 @@ def _trace_weights(L: int) -> tuple[Fraction, ...]:
 
 
 class ExactnessError(ValueError):
-    """Raised when a value expected to be rational is not."""
+    """Raised when a value expected to be rational is not; `value` is that value."""
+
+    def __init__(self, value):
+        self.value = value
+        super().__init__(f"not a rational element: {value}")
 
 
 class AmbientFieldError(ValueError):
     """Raised when root orders or field orders are incompatible."""
+
+
+# The largest field a computation builds on its own, so that untrusted input has a bounded
+# cost: the order L of parsed `c[L]: ...` text, and the lcm where operands of different
+# orders meet (`_common_order`).  840 = lcm(2..8) holds every field of a symplectic K3
+# model (orders <= 8).  Building Phi_840 is the worst case at or below it: 0.11 s on one
+# core of a 2-vCPU x86-64 machine (Python 3.11.7), against 1 ms for c[24].
+MAX_PARSED_FIELD_ORDER = 840
+
+
+def _common_order(orders: list[int]) -> int:
+    """The lcm of the operand orders; AmbientFieldError if it exceeds the bound and is none of them."""
+    # lcm of a list: unpacking a generator grows a tuple, stranding tuples in CPython's free lists
+    L = lcm(1, *orders)
+    if L > MAX_PARSED_FIELD_ORDER and L not in orders:
+        raise AmbientFieldError(
+            f"orders {sorted(set(orders))} meet in Q(zeta_{L}), beyond {MAX_PARSED_FIELD_ORDER}"
+        )
+    return L
 
 
 class Cyclotomic(QuotientRingElement):
@@ -147,7 +171,9 @@ class Cyclotomic(QuotientRingElement):
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
         if isinstance(other, Cyclotomic):
-            L = lcm(self.L, other.L)
+            if other.ring is self.ring:
+                return self, other
+            L = _common_order([self.L, other.L])
             return self.embed(L), other.embed(L)
         return super()._pair(other)
 
@@ -166,7 +192,7 @@ class Cyclotomic(QuotientRingElement):
     def as_rational(self) -> Fraction:
         """The rational value; raises ExactnessError off the prime field."""
         if not self.is_rational():
-            raise ExactnessError(f"not a rational element: {self}")
+            raise ExactnessError(self)
         return self.coeffs[0]
 
     def _mean_trace(self):
@@ -189,14 +215,13 @@ class Cyclotomic(QuotientRingElement):
 def sesquilinear_sum(terms) -> Cyclotomic:
     """sum of c * conj(a) * b over (c, a, b) triples of Cyclotomics or rationals, exact.
 
-    The sum lives in Q(zeta_L), L the lcm of all the orders.  Each product is
+    The sum lives in Q(zeta_L), L the lcm of all the orders (`_common_order`).  Each product is
     taken in Q[x]/(x^L - 1), where x^L = 1, and folded into one length-L
     accumulator; Phi_L divides x^L - 1, so one reduction mod Phi_L at the end
     gives the same residue as reducing every term.
     """
     terms = [[Cyclotomic.coerce(x) for x in term] for term in terms]
-    # lcm of a list: unpacking a generator grows a tuple, stranding tuples in CPython's free lists
-    L = lcm(1, *[x.L for term in terms for x in term])
+    L = _common_order([x.L for term in terms for x in term])
     acc = [Fraction(0)] * L
     for c, a, b in terms:
         ca = poly_mul(poly_fold(c.coeffs, L // c.L, L), poly_fold(a.coeffs, -(L // a.L), L))
@@ -235,12 +260,6 @@ def sum_inverse_one_minus_cos(n: int) -> Fraction:
         raise ValueError("n must be at least 2")
     return sum(inverse_one_minus_re(root_of_unity(m)).trace() for m in range(2, n + 1) if n % m == 0)
 
-
-# Largest field order accepted in `c[L]: ...` text, so that parsing untrusted input has a
-# bounded cost: lcm(2..8), the ambient field of any symplectic K3 model (orders <= 8).
-# Building Phi_840 is the worst case at or below it: 0.11 s on one core of a 2-vCPU
-# x86-64 machine (Python 3.11.7), against 1 ms for c[24].
-MAX_PARSED_FIELD_ORDER = 840
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
 

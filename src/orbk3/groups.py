@@ -71,9 +71,10 @@ class FiniteGroup:
         self.order = n
         self.identity = identity
         self.inverses = tuple(row.index(identity) for row in table)
-        self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
-        if len(self.labels) != n:
-            raise GroupError("label count does not match group order")
+        labels = [f"g{i}" for i in range(n)] if labels is None else labels
+        if not isinstance(labels, (list, tuple)) or [type(x) for x in labels] != [str] * n:
+            raise GroupError(f"labels must be a list of {n} strings, one per element")
+        self.labels = tuple(labels)
 
     def mul(self, i: int, j: int) -> int:
         return self.cayley[i][j]
@@ -362,11 +363,12 @@ def character_table_from_json(data: dict) -> tuple[Character, ...]:
         raise GroupError("'characters' must be a list of lists")
     group = FiniteGroup.from_json(data["group"])
     try:
-        values = [[parse_cyclotomic(s) for s in row] for row in rows]
+        table = tuple(Character(group, [parse_cyclotomic(s) for s in row]) for row in rows)
+        validate_orthogonality(table)  # values of different orders meet here (AmbientFieldError)
+    except GroupError:
+        raise
     except ValueError as exc:
         raise GroupError(f"bad character value: {exc}") from exc
-    table = tuple(Character(group, row) for row in values)
-    validate_orthogonality(table)
     return table
 
 

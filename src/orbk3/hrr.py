@@ -17,15 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .cyclotomic import (
-    MAX_PARSED_FIELD_ORDER,
-    Cyclotomic,
-    format_cyclotomic,
-    parse_cyclotomic,
-    sesquilinear_sum,
-)
+from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic, sesquilinear_sum
 from .inertia import K3GModel
 from .lattice import MukaiVector, mukai_pairing
 
@@ -82,17 +75,6 @@ def orbifold_mukai_vector(model: K3GModel, x: EquivariantClass) -> OrbifoldMukai
         raise SectorMismatchError(
             f"class has {len(x.local_chars)} twisted entries, model has {len(model.sectors)} sectors"
         )
-    # the pairing of the class with itself computes in Q(zeta_lcm) of the ambient order and
-    # every entry order; bound that field as parsing bounds L
-    ambient = model.ambient_order()
-    limit = max(ambient, MAX_PARSED_FIELD_ORDER)
-    orders = sorted({v.L for v in x.local_chars})
-    field = lcm(ambient, *orders)
-    if field > limit:
-        raise SectorMismatchError(
-            f"twisted entries of orders {orders} with ambient order {ambient} need Q(zeta_{field}), "
-            f"beyond {limit}"
-        )
     return OrbifoldMukaiVector(x.mukai, x.local_chars)
 
 
@@ -139,10 +121,7 @@ def generic_point_class(model: K3GModel) -> EquivariantClass:
 
 def tangent_bundle_class(model: K3GModel) -> EquivariantClass:
     """TX: v = (2, 0, -22); each twisted entry is lambda + lambda^{-1} = 2 Re(lambda)."""
-    ambient = model.ambient_order()
-    twisted = tuple(
-        s.eigenvalue(ambient).real_part() * 2 for s in model.sectors
-    )
+    twisted = tuple(s.eigenvalue().real_part() * 2 for s in model.sectors)
     return EquivariantClass(MukaiVector(2, model.lattice.zero_class(), -22), twisted)
 
 

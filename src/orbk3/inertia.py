@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .cyclotomic import Cyclotomic, inverse_one_minus_re, root_of_unity
+from .cyclotomic import Cyclotomic, ExactnessError, inverse_one_minus_re, root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
 from .lattice import PicardLattice
 from .polyring import integer
@@ -28,9 +28,9 @@ class ModelError(ValueError):
 
 
 class IdentityError(ModelError):
-    """The unit identity failed; carries the exact residual value."""
+    """The unit identity failed; carries its exact value, rational or not."""
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: Fraction | Cyclotomic):
         self.value = value
         super().__init__(f"unit identity failed: got {value}, expected 1")
 
@@ -85,8 +85,8 @@ class SectorEntry:
                 f"eigenvalue exponent {self.eig_exp} not coprime to order {self.eig_order}"
             )
 
-    def eigenvalue(self, ambient: int | None = None) -> Cyclotomic:
-        return root_of_unity(self.eig_order, self.eig_exp, ambient)
+    def eigenvalue(self) -> Cyclotomic:
+        return root_of_unity(self.eig_order, self.eig_exp)
 
     def to_json(self) -> dict:
         return dict(zip(SECTOR_KEYS, astuple(self)))
@@ -123,23 +123,20 @@ class K3GModel:
                     f" order {s.eig_order}: the stabilizer must contain the group element"
                 )
         if validate:
-            residual = validate_identity(self)
+            try:
+                residual = validate_identity(self)
+            except ExactnessError as exc:  # an irrational value is a failed identity too
+                residual = exc.value
             if residual != 1:
                 raise IdentityError(residual)
 
-    def ambient_order(self) -> int:
-        orders = [s.eig_order for s in self.sectors]
-        return lcm(*orders) if orders else 1
-
     def sector_weights(self) -> tuple[Cyclotomic, ...]:
-        """mult / (|G_ij| (1 - Re lambda_ij)) per sector, in Q(zeta_ambient).
+        """mult / (|G_ij| (1 - Re lambda_ij)) per sector, each in the field of its eigenvalue.
 
         The unit identity and the orbifold pairing both sum over these.
         """
-        ambient = self.ambient_order()
         return tuple(
-            inverse_one_minus_re(s.eigenvalue(ambient))
-            * Fraction(s.multiplicity, s.stabilizer_order)
+            inverse_one_minus_re(s.eigenvalue()) * Fraction(s.multiplicity, s.stabilizer_order)
             for s in self.sectors
         )
 
@@ -234,7 +231,8 @@ def validate_identity(model: K3GModel) -> Fraction:
 
     The rational factors mult/|G_ij| are summed per distinct eigenvalue
     first, so each eigenvalue costs one inverse in its own field Q(zeta_m),
-    however many sectors carry it; the total lands in Q(zeta_ambient).
+    however many sectors carry it; the total lands in Q(zeta_L), L the lcm of
+    the eigenvalue orders.  An irrational total raises ExactnessError.
     """
     factors: dict[tuple[int, int], Fraction] = {}
     for s in model.sectors:

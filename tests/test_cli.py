@@ -180,6 +180,8 @@ MALFORMED_INPUTS = {
     "sector-entry-int": ("--model", ("sectors", 0), 5),
     "cayley-int": ("--model", ("group", "cayley"), 5),
     "cayley-entry-string": ("--model", ("group", "cayley", 0, 0), "a"),
+    "labels-string": ("--model", ("group", "labels"), "ab"),
+    "labels-nested": ("--model", ("group", "labels"), [[1], [2]]),
     "gram-int": ("--model", ("lattice", "gram"), 5),
     "model-is-a-list": ("--model", (), [1, 2]),
     "sector-class-infinite": ("--model", ("sectors", 0, "class"), float("inf")),
@@ -514,8 +516,8 @@ def test_model_and_preset_are_exclusive(capsys, tmp_path, command):
 
 # A built-in class written to a file with its first twisted entries replaced:
 # (cyclic order, class, entries, exit code).  The pairing computes in Q(zeta_lcm) of the
-# ambient order and the orders of all the entries; that order may not exceed
-# max(ambient, 840), although each entry alone may stay below it.
+# weight orders and the orders of all the entries; that order may not exceed 840,
+# although each entry alone may stay below it.
 CLASS_ENTRIES = {
     "lcm-1678": (2, "TX", ["c[839]: 1"], 2),
     "lcm-840": (8, "OX", ["c[105]: 1"], 0),
@@ -535,6 +537,25 @@ def test_class_entry_exit_codes(capsys, tmp_path, case):
     assert code == want_code, err
     if want_code:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+# cyclic:5 with one eigenvalue replaced by another primitive root: the unit identity is
+# irrational, a failed integrity check of the model file, not of the library
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("command", [["verify-identity"], ["dim", "--class", "OX"]], ids=" ".join)
+def test_irrational_unit_identity_exits_3(capsys, tmp_path, command, as_json):
+    data = preset_cyclic(5).to_json()
+    data["sectors"][0]["eig_exp"] = 2
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    argv = [*command, "--model", str(path), *(["--json"] if as_json else [])]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("model integrity failure: unit identity FAILED: value c[5]: 51/50 + ")
+    assert err.count("\n") == 1
+    if command[0] == "dim":  # unchecked, the same model gives an irrational pairing
+        code, out, err = run(capsys, *argv, "--no-validate")
+        assert (code, out) == (2, "") and err.startswith("error: the pairing of this model and class")
 
 
 # main builds its parser on the first call and reuses it: the top level, the --json parent

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic: worked values and exact field laws."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -300,3 +301,23 @@ def test_embedding_is_a_field_map():
     assert z3_in_12 == root_of_unity(3, 1, 12)
     assert z3_in_12 ** 3 == 1
     assert z3_in_12 != 1
+
+
+parsed_orders = st.one_of(st.integers(1, 30), st.integers(1, MAX_PARSED_FIELD_ORDER))
+
+
+@settings(max_examples=40, deadline=None)
+@given(parsed_orders, parsed_orders, st.data())
+def test_parsed_values_meet_within_the_bound_or_raise(L, M, data):
+    # a sum or product of parsed values lands in Q(zeta_lcm(L, M)) when lcm(L, M) <= 840
+    # and raises AmbientFieldError otherwise, before any larger field is built
+    x, y = (
+        parse_cyclotomic(f"c[{n}]: 1 + -1/2*z^{data.draw(st.integers(0, euler_phi(n) - 1))}")
+        for n in (L, M)
+    )
+    for op in (operator.add, operator.mul):
+        if lcm(L, M) > MAX_PARSED_FIELD_ORDER:
+            with pytest.raises(AmbientFieldError):
+                op(x, y)
+        else:
+            assert op(x, y).L == lcm(L, M) <= MAX_PARSED_FIELD_ORDER

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -448,3 +449,29 @@ def test_malformed_table_rows_raise_group_error(rows):
     data["characters"] = rows
     with pytest.raises(GroupError):
         character_table_from_json(data)
+
+
+def test_rows_meeting_beyond_840_raise_group_error_at_once():
+    # each value parses alone; together they would build Phi_703082
+    data = character_table_to_json(abelian_character_table(cyclic_group(2)))
+    data["characters"][0] = ["c[839]: 1", "c[838]: 1"]
+    start = time.perf_counter()
+    with pytest.raises(GroupError, match=r"bad character value: orders \[838, 839\] meet in Q\(zeta_703082\)"):
+        character_table_from_json(data)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("labels", ["ab", {"a": 1, "b": 2}, [[1], [2]], ["a"], ["a", 2], []])
+def test_labels_must_be_a_list_of_n_strings(labels):
+    data = cyclic_group(2).to_json()
+    data["labels"] = labels
+    with pytest.raises(GroupError, match="labels must be a list of 2 strings"):
+        FiniteGroup.from_json(data)
+
+
+def test_missing_or_null_labels_keep_the_defaults():
+    data = cyclic_group(2).to_json()
+    data["labels"] = None
+    assert FiniteGroup.from_json(data).labels == ("g0", "g1")
+    del data["labels"]
+    assert FiniteGroup.from_json(data).labels == ("g0", "g1")

@@ -1,13 +1,22 @@
 """The orbifold Mukai pairing and worked Euler characteristics."""
 
+import time
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbk3.cyclotomic import Cyclotomic, ExactnessError, euler_phi, root_of_unity
+from orbk3.cyclotomic import (
+    AmbientFieldError,
+    Cyclotomic,
+    ExactnessError,
+    euler_phi,
+    parse_cyclotomic,
+    root_of_unity,
+)
 from orbk3.hrr import (
     EquivariantClass,
     SectorMismatchError,
@@ -111,7 +120,7 @@ def test_pairing_symmetric_when_values_real(n, data):
 @given(st.sampled_from([3, 4, 6]), st.data())
 def test_self_pairing_with_unit_twists_is_rational(n, data):
     model = preset_cyclic(n)
-    ambient = model.ambient_order()
+    ambient = lcm(*[s.eig_order for s in model.sectors])
     twisted = tuple(
         root_of_unity(ambient) ** data.draw(st.integers(0, ambient - 1))
         for _ in model.sectors
@@ -183,7 +192,7 @@ def _twisted_entries(L):
 @given(st.integers(2, 8), st.booleans(), st.data())
 def test_pairing_matches_the_sum_term_by_term(n, self_pairing, data):
     model = _cached_preset(n)
-    ambient = model.ambient_order()
+    ambient = lcm(*[s.eig_order for s in model.sectors])
     entries = st.one_of(
         _rationals,
         st.sampled_from([1, 2, 3, 4, ambient]).flatmap(_twisted_entries),
@@ -207,3 +216,19 @@ def test_pairing_matches_the_sum_term_by_term(n, self_pairing, data):
         assert str(got.value) == str(exc)
         return
     assert orbifold_mukai_pairing(model, v, w) == expected
+
+
+def test_two_classes_meeting_beyond_840_raise_at_once():
+    # each class pairs with itself in Q(zeta_154) or Q(zeta_442); the two together
+    # would compute in Q(zeta_34034)
+    model = preset_cyclic(2)
+    ox = structure_sheaf_class(model)
+    x, y = (
+        EquivariantClass(ox.mukai, (*map(parse_cyclotomic, entries), *ox.local_chars[2:]))
+        for entries in (["c[7]: 1", "c[11]: 1"], ["c[13]: 1", "c[17]: 1"])
+    )
+    assert euler_pairing(model, x, x) == euler_pairing(model, y, y) == 2
+    start = time.perf_counter()
+    with pytest.raises(AmbientFieldError, match=r"meet in Q\(zeta_34034\), beyond 840"):
+        euler_pairing(model, x, y)
+    assert time.perf_counter() - start < 2.0

@@ -5,15 +5,14 @@ Phi_L is the L-th cyclotomic polynomial, so it shares the one residue
 arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
 is obtained by dividing x^L - 1 by Phi_d over the proper divisors d of L.
-What is particular to the field lives here: operands of different orders
-meet in Q(zeta_lcm) (`_common_order`, the one place that bounds that field),
-and embedding and conjugation substitute a power of x and reduce, which,
-because x^L = 1 mod Phi_L, is one `poly_fold`.  The field
-trace Tr(a) = sum of the Galois conjugates of a is read off the coefficients
-with no arithmetic in the field, so a sum of a rational function over all
-primitive m-th roots of unity costs one evaluation in Q(zeta_m) and one trace;
-`sum_inverse_one_minus_cos` inverts once per divisor of n this way.  Hashing
-uses the normalized trace Tr(a)/phi(L), which embedding preserves.
+What is particular to the field lives here: operands of different orders meet
+in Q(zeta_lcm) (bounded in `_common_order`); embedding and conjugation
+substitute a power of x and reduce, which, because x^L = 1 mod Phi_L, is one
+`poly_fold`.  The field trace Tr(a) = sum of the Galois conjugates of a is
+read off the coefficients with no arithmetic in the field, so a sum of a
+rational function over all primitive m-th roots of unity costs one evaluation
+in Q(zeta_m) and one trace; `sum_inverse_one_minus_cos` inverts once per
+divisor of n this way.  Hashing uses Tr(a)/phi(L), which embedding preserves.
 
 Reduction mod Phi_L is linear, so a sum of products need not be reduced term
 by term (GAP's `cyclotom.c`, Breuer 1997).  `sesquilinear_sum` returns
@@ -92,22 +91,21 @@ def _trace_weights(L: int) -> tuple[Fraction, ...]:
 
 
 class ExactnessError(ValueError):
-    """Raised when a value expected to be rational is not; `value` is that value."""
+    """Raised when a value expected to be rational is not; `value`, when given, is that value."""
 
-    def __init__(self, value):
+    def __init__(self, message: str, value=None):
+        super().__init__(message)
         self.value = value
-        super().__init__(f"not a rational element: {value}")
 
 
 class AmbientFieldError(ValueError):
     """Raised when root orders or field orders are incompatible."""
 
 
-# The largest field a computation builds on its own, so that untrusted input has a bounded
-# cost: the order L of parsed `c[L]: ...` text, and the lcm where operands of different
-# orders meet (`_common_order`).  840 = lcm(2..8) holds every field of a symplectic K3
-# model (orders <= 8).  Building Phi_840 is the worst case at or below it: 0.11 s on one
-# core of a 2-vCPU x86-64 machine (Python 3.11.7), against 1 ms for c[24].
+# The largest field built without an explicit embed, so untrusted input has a bounded cost:
+# parsed `c[L]: ...` text and the lcm where orders meet (`_common_order`).  840 = lcm(2..8)
+# holds every field of a symplectic K3 model (orders <= 8).  Phi_840, the worst case, takes
+# 0.11 s on one core of a 2-vCPU x86-64 machine (Python 3.11.7), against 1 ms for c[24].
 MAX_PARSED_FIELD_ORDER = 840
 
 
@@ -130,6 +128,7 @@ class Cyclotomic(QuotientRingElement):
     """
 
     __slots__ = ()
+    _eq_raises = (AmbientFieldError,)  # equal values of orders meeting beyond the bound
 
     def __init__(self, L: int, coeffs):
         if L < 1:
@@ -192,7 +191,7 @@ class Cyclotomic(QuotientRingElement):
     def as_rational(self) -> Fraction:
         """The rational value; raises ExactnessError off the prime field."""
         if not self.is_rational():
-            raise ExactnessError(self)
+            raise ExactnessError(f"not a rational element: {self}", value=self)
         return self.coeffs[0]
 
     def _mean_trace(self):
@@ -297,12 +296,7 @@ def _parse_cyclotomic(text: str) -> Cyclotomic:
             if tm is None:
                 raise ValueError(f"malformed cyclotomic term: {raw!r}")
             c = Fraction(tm.group(1))
-            if "*z" not in raw:
-                k = 0
-            elif tm.group(2) is None:
-                k = 1
-            else:
-                k = int(tm.group(2))
+            k = int(tm.group(2) or 1) if "*z" in raw else 0
             if k >= deg:
                 raise ValueError(f"term degree {k} exceeds field degree {deg}")
             coeffs[k] += c

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic, root_of_unity
+from .cyclotomic import AmbientFieldError, Cyclotomic, format_cyclotomic, parse_cyclotomic, root_of_unity
 from .polyring import integer, integers
 
 
@@ -363,12 +363,14 @@ def character_table_from_json(data: dict) -> tuple[Character, ...]:
         raise GroupError("'characters' must be a list of lists")
     group = FiniteGroup.from_json(data["group"])
     try:
-        table = tuple(Character(group, [parse_cyclotomic(s) for s in row]) for row in rows)
-        validate_orthogonality(table)  # values of different orders meet here (AmbientFieldError)
-    except GroupError:
-        raise
+        values = [[parse_cyclotomic(s) for s in row] for row in rows]
     except ValueError as exc:
         raise GroupError(f"bad character value: {exc}") from exc
+    table = tuple(Character(group, row) for row in values)
+    try:
+        validate_orthogonality(table)
+    except AmbientFieldError as exc:  # values of different orders meet in the inner products
+        raise GroupError(f"orthogonality check: {exc}") from exc
     return table
 
 

@@ -279,10 +279,12 @@ class QuotientRingElement:
     Immutable.  `coeffs` is the canonical residue (`QuotientRing.residue`).
     Ints and Fractions combine as constants; an element of another type
     raises TypeError, and one of another ring ValueError.  Subclasses fix the
-    ring and change only `_pair`, which brings two operands into one ring.
+    ring and change only `_pair`, which brings two operands into one ring, and
+    `_eq_raises`.
     """
 
     __slots__ = ("ring", "coeffs")
+    _eq_raises: tuple = ()  # errors of `_pair` that `==` passes on, where False could be wrong
 
     def __init__(self, ring: QuotientRing, residue: Iterable):
         self.ring = ring
@@ -359,6 +361,8 @@ class QuotientRingElement:
     def __eq__(self, other) -> bool:
         try:
             a, b = self._pair(other)
+        except self._eq_raises:
+            raise
         except (TypeError, ValueError):
             return NotImplemented
         return a.coeffs == b.coeffs

@@ -77,8 +77,12 @@ def test_as_rational():
     assert Cyclotomic.from_rational(Fraction(3, 2)).as_rational() == Fraction(3, 2)
     z3 = root_of_unity(3)
     assert (z3 + z3 * z3).as_rational() == -1
-    with pytest.raises(ExactnessError):
+    with pytest.raises(ExactnessError) as info:
         root_of_unity(5).as_rational()
+    assert info.value.value == root_of_unity(5)
+    assert str(info.value) == "not a rational element: c[5]: 1*z"
+    # raised with a message alone, the message is kept as given
+    assert str(ExactnessError("not a rational element")) == "not a rational element"
 
 
 @pytest.mark.parametrize("n,expected", [(2, Fraction(1, 2)), (3, Fraction(4, 3)), (7, 8)])
@@ -321,3 +325,24 @@ def test_parsed_values_meet_within_the_bound_or_raise(L, M, data):
                 op(x, y)
         else:
             assert op(x, y).L == lcm(L, M) <= MAX_PARSED_FIELD_ORDER
+
+
+def test_equality_beyond_the_bound_raises_rather_than_answer_false():
+    # c[839]: 1 and c[838]: 1 both equal 1 and hash alike, but comparing them would build
+    # Q(zeta_703082): == raises instead of a wrong False, and a set cannot keep both
+    one_839, one_838 = parse_cyclotomic("c[839]: 1"), parse_cyclotomic("c[838]: 1")
+    assert hash(one_839) == hash(one_838) == hash(1)
+    pairs = [(one_839, one_838), (one_839, parse_cyclotomic("c[3]: 1")),
+             (parse_cyclotomic("c[839]: -1"), root_of_unity(2))]
+    start = time.perf_counter()
+    for a, b in pairs:
+        for op in (operator.eq, operator.ne):
+            with pytest.raises(AmbientFieldError, match="beyond 840"):
+                op(a, b)
+    with pytest.raises(AmbientFieldError):
+        {one_839, one_838}
+    assert time.perf_counter() - start < 2.0
+    # within the bound, and against rationals, values of different orders compare exactly
+    assert one_839 == 1 and parse_cyclotomic("c[839]: -1") == -1
+    assert parse_cyclotomic("c[105]: 1") == parse_cyclotomic("c[8]: 1")
+    assert root_of_unity(4) ** 2 == root_of_unity(2) and root_of_unity(3) != root_of_unity(5)

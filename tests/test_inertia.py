@@ -54,7 +54,7 @@ def test_identity_trivial_model():
 
 
 def per_sector_identity(model):
-    """The definition: one sector weight per sector, summed in Q(zeta_ambient)."""
+    """The definition: one sector weight per sector, summed in Q(zeta_L), L the lcm of the orders."""
     total = Cyclotomic.from_rational(Fraction(1, model.group.order))
     for weight in model.sector_weights():
         total = total + weight * Fraction(1, 4)

@@ -139,6 +139,12 @@ def test_group_ring_validation():
         GroupRingElement(2, (1, 0)) + GroupRingElement(3, (1, 0, 0))
 
 
+def test_group_rings_of_two_ranks_compare_unequal():
+    # arithmetic between them raises, but == answers: they lie in different rings
+    assert GroupRingElement(2, (1,)) != GroupRingElement(3, (1,))
+    assert GroupRingElement(2, (1,)) == GroupRingElement(2, (1, 0))
+
+
 # -- weighted projective stacks ---------------------------------------------
 
 

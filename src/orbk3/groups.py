@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cyclotomic import AmbientFieldError, Cyclotomic, format_cyclotomic, parse_cyclotomic, root_of_unity
+from .cyclotomic import AmbientFieldError, Cyclotomic, ExactnessError
+from .cyclotomic import format_cyclotomic, parse_cyclotomic, root_of_unity
 from .polyring import integer, integers
 
 
@@ -317,17 +318,23 @@ def abelian_character_table(g: FiniteGroup) -> tuple[Character, ...]:
 
 
 def char_inner_product(chi: Character, psi: Character) -> Fraction:
-    """<chi, psi> = (1/|G|) sum_g chi(g^{-1}) psi(g), via centralizer weights."""
+    """<chi, psi> = (1/|G|) sum_g chi(g^{-1}) psi(g) = sum_z (1/z) sum_{c: |C(c)| = z} chi(c^{-1}) psi(c).
+
+    One rescale by 1/z per distinct centralizer order z: one per pairing on an abelian group.
+    """
     chi._check(psi)
     g = chi.group
-    total = Cyclotomic.zero()
+    sums: dict[int, Cyclotomic] = {}
     for c, k, value in zip(g.classes, g.inverse_class, psi.values):
-        total = total + chi.values[k] * value * Fraction(1, c.centralizer_order)
-    return total.as_rational()
+        z = c.centralizer_order
+        sums[z] = chi.values[k] * value + sums.get(z, 0)
+    return sum(s * Fraction(1, z) for z, s in sums.items()).as_rational()
 
 
 def char_inner_product_elementwise(chi: Character, psi: Character) -> Fraction:
-    """Independent form of the pairing: direct sum over all group elements."""
+    """Direct sum over all group elements: the independent oracle for `char_inner_product`.
+
+    It must not share that function's centralizer-order fold, or one fault would pass both."""
     chi._check(psi)
     g = chi.group
     total = Cyclotomic.zero()
@@ -369,7 +376,7 @@ def character_table_from_json(data: dict) -> tuple[Character, ...]:
     table = tuple(Character(group, row) for row in values)
     try:
         validate_orthogonality(table)
-    except AmbientFieldError as exc:  # values of different orders meet in the inner products
+    except (AmbientFieldError, ExactnessError) as exc:  # orders meeting beyond 840, or an irrational pairing
         raise GroupError(f"orthogonality check: {exc}") from exc
     return table
 

@@ -16,3 +16,16 @@ def inverse_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(polyring, "poly_inverse_mod", counted)
     return calls
+
+
+@pytest.fixture
+def mul_calls(monkeypatch) -> list:
+    """The operand lengths of every call to the one multiplication kernel, `poly_mul`."""
+    calls, mul = [], polyring.poly_mul
+
+    def counted(p, q):
+        calls.append((len(p), len(q)))
+        return mul(p, q)
+
+    monkeypatch.setattr(polyring, "poly_mul", counted)
+    return calls

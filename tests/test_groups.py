@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbk3.groups as groups_module
-from orbk3.cyclotomic import root_of_unity
+from orbk3.cyclotomic import Cyclotomic, ExactnessError, euler_phi, root_of_unity
 from orbk3.groups import (
     Character,
     FiniteGroup,
@@ -126,6 +126,49 @@ def test_two_pairing_forms_agree():
         for chi in table:
             for psi in table:
                 assert char_inner_product(chi, psi) == char_inner_product_elementwise(chi, psi)
+
+
+SMALL_GROUPS = [g for g in ABELIAN_GROUPS if g.order <= 12] + [symmetric_group_s3()]
+
+
+@st.composite
+def class_function_value(draw, orders):
+    """A rational (order None) or an element of Q(zeta_L), L in orders; few are roots of unity."""
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    L = draw(st.sampled_from(orders))
+    if L is None:
+        return draw(rational)
+    return Cyclotomic(L, draw(st.lists(rational, min_size=euler_phi(L), max_size=euler_phi(L))))
+
+
+def _pairing_outcome(pairing, chi, psi):
+    """The rational value of the pairing, or the irrational value its ExactnessError carries."""
+    try:
+        return "rational", pairing(chi, psi)
+    except ExactnessError as exc:
+        return "irrational", exc.value
+
+
+# S3 has centralizer orders 6, 2 and 3, so its class form rescales three partial sums.
+# Rational class functions (orders None, 1, 2) give the rational branch.
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from([(None, 1, 2), (None, 1, 2, 3, 4, 6, 12)]), st.data())
+def test_two_pairing_forms_agree_on_class_functions(g, orders, data):
+    values = st.lists(class_function_value(orders), min_size=len(g.classes), max_size=len(g.classes))
+    chi, psi = Character(g, data.draw(values)), Character(g, data.draw(values))
+    expected = _pairing_outcome(char_inner_product_elementwise, chi, psi)
+    assert _pairing_outcome(char_inner_product, chi, psi) == expected
+
+
+# One ring multiply per class and one rescale per distinct centralizer order:
+# Z/12 has 12 classes and one order, S3 has 3 classes and orders 6, 2 and 3.
+@pytest.mark.parametrize("g, bound", [(cyclic_group(12), 13), (symmetric_group_s3(), 6)], ids=["Z12", "S3"])
+def test_class_form_rescales_once_per_centralizer_order(mul_calls, g, bound):
+    table = abelian_character_table(g) if g.is_abelian() else s3_character_table()
+    mul_calls.clear()
+    assert char_inner_product(table[1], table[-1]) == 0
+    orders = {c.centralizer_order for c in g.classes}
+    assert len(mul_calls) <= len(g.classes) + len(orders) == bound
 
 
 def test_s3_table_orthogonality():
@@ -383,9 +426,9 @@ def test_partition_computed_once_per_group(monkeypatch):
     ids=["relabelled-Z2xZ30", "Z60"],
 )
 def test_large_table_gram_rows_are_identity(g):
-    # The full 60x60 Gram matrix costs minutes at 15-30 ms per pairing, so
-    # this checks the Gram row of a character of maximal order, which is not
-    # its own dual, under both forms.
+    # The full 60x60 Gram matrix under both forms takes 30-100 s at 4-14 ms
+    # per pairing (either form, with host load; 2-vCPU x86-64, Python 3.11.7), so
+    # this checks the Gram row of a character of maximal order, not its own dual.
     table = abelian_character_table(g)
     assert len(table) == g.order == 60
     # a linear character of order m takes exactly the m values of mu_m
@@ -459,6 +502,14 @@ def test_rows_meeting_beyond_840_raise_group_error_at_once():
     with pytest.raises(GroupError, match=r"orthogonality check: orders \[838, 839\] meet in Q\(zeta_703082\)"):
         character_table_from_json(data)
     assert time.perf_counter() - start < 2.0
+
+
+def test_irrational_inner_product_raises_group_error():
+    data = character_table_to_json(abelian_character_table(cyclic_group(3)))
+    data["characters"][1] = ["1", "c[3]: 1*z", "1"]
+    message = r"orthogonality check: not a rational element: c\[3\]: -1/3 \+ -2/3\*z"
+    with pytest.raises(GroupError, match=message):
+        character_table_from_json(data)
 
 
 @pytest.mark.parametrize("labels", ["ab", {"a": 1, "b": 2}, [[1], [2]], ["a"], ["a", 2], []])

@@ -193,7 +193,7 @@ def cmd_wps_euler(args):
         raise UsageError(
             f"at most {WPS_MAX_WEIGHTS} weights with sum at most {WPS_MAX_WEIGHT_SUM}"
         )
-    euler_class = format_poly(wps_euler_class_tangent(weights).residue)
+    euler_class = format_poly(wps_euler_class_tangent(weights).coeffs)
     relation = wps_relation_element(weights)
     if not relation.is_zero():
         raise ConsistencyError(f"relation element nonzero: {relation}")

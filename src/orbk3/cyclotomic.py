@@ -34,6 +34,7 @@ from .polyring import (
     QuotientRing,
     QuotientRingElement,
     format_poly,
+    integer,
     poly,
     poly_divmod,
     poly_fold,
@@ -131,6 +132,7 @@ class Cyclotomic(QuotientRingElement):
     _eq_raises = (AmbientFieldError,)  # equal values of orders meeting beyond the bound
 
     def __init__(self, L: int, coeffs):
+        L = integer(L)
         if L < 1:
             raise ValueError("field order must be positive")
         super().__init__(_field(L), coeffs)
@@ -229,18 +231,11 @@ def sesquilinear_sum(terms) -> Cyclotomic:
     return Cyclotomic(L, acc)
 
 
-def root_of_unity(order: int, exponent: int = 1, L: int | None = None) -> Cyclotomic:
-    """zeta_order^exponent in the ambient field Q(zeta_L).
-
-    The ambient order defaults to `order`; it must be a multiple of it.
-    """
+def root_of_unity(order: int, exponent: int = 1) -> Cyclotomic:
+    """zeta_order^exponent, in Q(zeta_order); `embed` takes it into a larger field."""
     if order < 1:
         raise ValueError("order must be positive")
-    if L is None:
-        L = order
-    if L % order != 0:
-        raise AmbientFieldError(f"order {order} does not divide ambient L={L}")
-    return _zeta_powers(L)[(L // order) * (exponent % order)]
+    return _zeta_powers(order)[exponent % order]
 
 
 def inverse_one_minus_re(lam: Cyclotomic) -> Cyclotomic:

@@ -117,6 +117,7 @@ def enumerate_mu2(length: int) -> list[EnumerationRow]:
     Rows with an empty solution set are omitted; dimensions are listed in
     the (deterministic lexicographic) order of the solutions.
     """
+    length = integer(length)
     if length < 0:
         raise HilbertError("length must be non-negative")
     rows = []
@@ -142,7 +143,7 @@ class ADEForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def pair(self, a, b) -> int:
-        a, b = tuple(a), tuple(b)
+        a, b = integers(a), integers(b)
         if len(a) != self.rank or len(b) != self.rank:
             raise HilbertError("divisor vector length does not match the form rank")
         return sum(
@@ -183,4 +184,4 @@ def dim_ade(n: int, divisors, forms) -> int:
     divisors, forms = list(divisors), list(forms)
     if len(divisors) != len(forms):
         raise HilbertError("one divisor vector per ADE form required")
-    return 2 * n + sum(form.pair(d, d) for d, form in zip(divisors, forms))
+    return 2 * integer(n) + sum(form.pair(d, d) for d, form in zip(divisors, forms))

@@ -11,9 +11,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
-from .polyring import Coeffs, integer, integers, poly, poly_scale, poly_sub
+from .polyring import Coeffs, integer, integers, poly
 
 INFINITE_SLOPE = "infinity"
 
@@ -173,7 +174,7 @@ def reduced_hilbert_polynomial(p: Coeffs) -> Coeffs:
     """P divided by its leading coefficient (monic normalization)."""
     if not p:
         raise LatticeError("reduced Hilbert polynomial of the zero polynomial")
-    return poly_scale(p, Fraction(1) / p[-1])
+    return tuple(Fraction(c) / p[-1] for c in p)
 
 
 def degree_and_slope(lattice: PicardLattice, v: MukaiVector):
@@ -186,7 +187,7 @@ def degree_and_slope(lattice: PicardLattice, v: MukaiVector):
 
 def poly_leq_eventually(p: Coeffs, q: Coeffs) -> bool:
     """p(z) <= q(z) for z >> 0: sign of the top coefficient of q - p."""
-    diff = poly_sub(q, p)
+    diff = poly(b - a for a, b in zip_longest(p, q, fillvalue=0))
     return not diff or diff[-1] > 0
 
 

@@ -45,22 +45,6 @@ def integers(values: Iterable) -> tuple[int, ...]:
     return tuple(map(index, values))
 
 
-def poly_deg(p: Sequence[Fraction]) -> int:
-    """Degree, with deg(0) = -1."""
-    return len(p) - 1
-
-
-def poly_add(p: Coeffs, q: Coeffs) -> Coeffs:
-    n = max(len(p), len(q))
-    return poly(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def poly_sub(p: Coeffs, q: Coeffs) -> Coeffs:
-    return poly_add(p, tuple(-c for c in q))
-
-
 def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ()
@@ -85,10 +69,6 @@ def poly_fold(p: Sequence[Fraction], e: int, n: int) -> Coeffs:
         if c:
             out[k * e % n] += c
     return tuple(out)
-
-
-def poly_scale(p: Coeffs, c) -> Coeffs:
-    return poly(Fraction(c) * a for a in p)
 
 
 def poly_divmod(p: Coeffs, m: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -139,10 +119,6 @@ def _pseudo_divmod(R: list[int], M: Sequence[int]) -> tuple[list[int], list[int]
     return Q, R, S
 
 
-def poly_mod(p: Coeffs, m: Coeffs) -> Coeffs:
-    return poly_divmod(p, m)[1]
-
-
 def _numerators(p: Coeffs) -> tuple[list[int], int]:
     """(P, d) with p = P/d, P an integer vector and d the lcm of the denominators."""
     # lcm of a list: unpacking a generator grows a tuple, stranding tuples in CPython's free lists
@@ -174,7 +150,7 @@ def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
     if len(m) < 2:
         raise ValueError("modulus must have degree >= 1")
     if len(a) >= len(m):
-        a = poly_mod(a, m)
+        a = poly_divmod(a, m)[1]
     if not a:
         raise ZeroDivisionError("inversion of zero modulo m")
     r0, s0 = _numerators(m)[0], []
@@ -197,16 +173,9 @@ def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
     return _fractions(s1, d, r1[0])
 
 
-def poly_eval(p: Coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def monomial(k: int, c=1) -> Coeffs:
-    """c * x^k."""
-    return poly([0] * k + [c])
+def monomial(k: int) -> Coeffs:
+    """x^k."""
+    return poly([0] * k + [1])
 
 
 def format_poly(p: Coeffs, var: str = "x") -> str:
@@ -229,16 +198,16 @@ class QuotientRing:
 
     def __init__(self, modulus: Iterable):
         m = poly(modulus)
-        if poly_deg(m) < 1:
+        if len(m) < 2:
             raise ValueError("modulus must have degree >= 1")
         self.modulus = m
-        self.degree = poly_deg(m)
+        self.degree = len(m) - 1
 
     def residue(self, p: Iterable) -> Coeffs:
         """The canonical residue of p: reduced only when longer than deg m, then zero-padded."""
         cs = poly(p)
         if len(cs) > self.degree:
-            cs = poly_mod(cs, self.modulus)
+            cs = poly_divmod(cs, self.modulus)[1]
         return cs + (Fraction(0),) * (self.degree - len(cs))
 
     def reduce(self, p: Iterable) -> "QuotientRingElement":
@@ -254,14 +223,6 @@ class QuotientRing:
 
     def x(self) -> "QuotientRingElement":
         return self.reduce(monomial(1))
-
-    def x_inverse(self) -> "QuotientRingElement":
-        """x^{-1}; raises ValueError when x divides the modulus."""
-        return self.x().inverse()
-
-    def x_power(self, k: int) -> "QuotientRingElement":
-        """x^k for any integer k."""
-        return self.x() ** k
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuotientRing) and self.modulus == other.modulus
@@ -289,10 +250,6 @@ class QuotientRingElement:
     def __init__(self, ring: QuotientRing, residue: Iterable):
         self.ring = ring
         self.coeffs = ring.residue(residue)
-
-    @property
-    def residue(self) -> Coeffs:
-        return self.coeffs
 
     def _new(self, coeffs: Coeffs):
         """An element of self's type and ring from a residue already canonical."""

@@ -46,6 +46,8 @@ class GroupRingElement(QuotientRingElement):
 
     @classmethod
     def monomial(cls, n: int, k: int) -> "GroupRingElement":
+        if n < 1:
+            raise ToyStackError("ring rank must be positive")
         return cls(n, monomial(k % n))
 
     def _pair(self, other):
@@ -116,7 +118,7 @@ def _wps_factors(weights) -> tuple[QuotientRing, list[QuotientRingElement]]:
     """The K-ring of P(weights) and its factors 1 - x^{-a}, one per weight; x is inverted once."""
     weights = _wps_weights(weights)
     ring = wps_ring(weights)
-    x_inverse = ring.x_inverse()
+    x_inverse = ring.x().inverse()
     return ring, [ring.one - x_inverse ** a for a in weights]
 
 
@@ -138,7 +140,7 @@ def wps_relation_element(weights) -> QuotientRingElement:
 def projective_space_euler_class(n: int) -> QuotientRingElement:
     """(n+1)(1 - x^{-1})^n in K(P^n), the unweighted closed form."""
     ring = wps_ring((1,) * (n + 1))
-    return ((ring.one - ring.x_power(-1)) ** n) * (n + 1)
+    return ((ring.one - ring.x().inverse()) ** n) * (n + 1)
 
 
 # -- the fixed P(2,3) example ----------------------------------------------

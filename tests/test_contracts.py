@@ -28,7 +28,7 @@ from orbk3.groups import (
     symmetric_group_s3,
     trivial_character,
 )
-from orbk3.hilbert import HilbClassMu2, HilbertError, ade_form
+from orbk3.hilbert import HilbClassMu2, HilbertError, ade_form, dim_ade, enumerate_mu2
 from orbk3.hrr import OrbifoldMukaiVector, SectorMismatchError, orbifold_mukai_pairing, tangent_bundle_class
 from orbk3.inertia import (
     K3GModel,
@@ -100,6 +100,7 @@ RAISES = {
     "declared-rank": (LatticeError, lambda: PicardLattice.from_json({"rank": 2, "gram": [[2]], "ample": [1]})),
     "constant-modulus": (ValueError, lambda: QuotientRing([1])),
     "group-ring-rank-0": (ToyStackError, lambda: GroupRingElement(0, ())),
+    "group-ring-monomial-rank-0": (ToyStackError, lambda: GroupRingElement.monomial(0, 1)),
     "weighted-lengths": (ToyStackError, lambda: weighted_inner_product((1,), (1, 2))),
     "coefficient-pairing-ranks": (
         ToyStackError,
@@ -113,6 +114,8 @@ RAISES = {
     "gram-float": (TypeError, lambda: PicardLattice([[2.9]], [1])),
     "ample-string": (TypeError, lambda: PicardLattice([[2]], ["1"])),
     "hilb-class-float": (TypeError, lambda: HilbClassMu2(1.0, (0,) * 8)),
+    "ade-pair-float": (TypeError, lambda: ade_form("A", 1).pair((0.5,), (1,))),
+    "dim-ade-float": (TypeError, lambda: dim_ade(1.5, [(1,)], [ade_form("A", 1)])),
     # ... and bool, a subclass of int that `operator.index` takes as 0 or 1
     "mukai-bool": (TypeError, lambda: MukaiVector(True, (), 0)),
     "mukai-bool-c1": (TypeError, lambda: MukaiVector(1, (False,), 0)),
@@ -122,6 +125,8 @@ RAISES = {
     "ample-bool": (TypeError, lambda: PicardLattice([[2]], [True])),
     "hilb-class-bool": (TypeError, lambda: HilbClassMu2(True, (0,) * 8)),
     "hilb-class-bool-m": (TypeError, lambda: HilbClassMu2(1, (False,) * 8)),
+    "enumerate-bool": (TypeError, lambda: enumerate_mu2(True)),
+    "cyclotomic-order-bool": (TypeError, lambda: Cyclotomic(True, (3,))),
     "cayley-bool-json": (GroupError, lambda: FiniteGroup.from_json({"cayley": [[False]]})),
     # a declared size is an int too, not just equal to one
     "declared-order-float": (GroupError, lambda: FiniteGroup.from_json({"order": 1.0, "cayley": [[0]]})),

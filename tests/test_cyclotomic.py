@@ -38,15 +38,14 @@ def test_phi8_by_explicit_division():
 
 
 def test_root_of_unity_basics():
-    assert root_of_unity(2, 1, 2) == -1
-    assert root_of_unity(4, 2, 4) == -1
-    z8 = root_of_unity(8, 1, 8)
+    assert root_of_unity(2, 1) == -1
+    assert root_of_unity(4, 2) == -1
+    z8 = root_of_unity(8, 1)
     assert z8.coeffs == (0, 1, 0, 0)  # the class of x mod x^4 + 1
 
 
-def test_root_of_unity_rejects_bad_ambient():
-    with pytest.raises(AmbientFieldError):
-        root_of_unity(3, 1, 8)
+def test_root_of_unity_reaches_larger_fields_by_embed():
+    assert root_of_unity(12, 4) == root_of_unity(3).embed(12)
 
 
 def test_inversion_worked_examples():
@@ -302,7 +301,7 @@ def test_equal_elements_collapse_in_a_set():
 def test_embedding_is_a_field_map():
     z3 = root_of_unity(3)
     z3_in_12 = z3.embed(12)
-    assert z3_in_12 == root_of_unity(3, 1, 12)
+    assert z3_in_12 == root_of_unity(12, 4)
     assert z3_in_12 ** 3 == 1
     assert z3_in_12 != 1
 

@@ -1,5 +1,6 @@
 """The names the orbk3 package exports are part of its public contract."""
 
+import ast
 import importlib
 import inspect
 import runpy
@@ -111,7 +112,7 @@ SIGNATURES = {
     "preset_cyclic": "(n: 'int', lattice: 'PicardLattice | None' = None) -> 'K3GModel'",
     "reduced_hilbert_polynomial": "(p: 'Coeffs') -> 'Coeffs'",
     "regular_character": "(g: 'FiniteGroup') -> 'Character'",
-    "root_of_unity": "(order: 'int', exponent: 'int' = 1, L: 'int | None' = None) -> 'Cyclotomic'",
+    "root_of_unity": "(order: 'int', exponent: 'int' = 1) -> 'Cyclotomic'",
     "solve_fixed_points_cyclic": "(n: 'int') -> 'int'",
     "structure_sheaf_class": "(model: 'K3GModel') -> 'EquivariantClass'",
     "sum_inverse_one_minus_cos": "(n: 'int') -> 'Fraction'",
@@ -168,3 +169,16 @@ def test_benchmark_span_targets():
             if owner is None or vars(owner).get(fn_name) is None:
                 unresolved.add((module_name, attr))
     assert unresolved == DEAD_SPAN_TARGETS
+
+
+def test_imports_are_at_module_level():
+    # every import of the library is a top-level statement of its module, so the
+    # dependencies of a module are read off its head and none is deferred into a call
+    hidden = []
+    for path in sorted(Path(orbk3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
+                hidden.append(f"{path.name}:{node.lineno}")
+    assert hidden == []

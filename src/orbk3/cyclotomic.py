@@ -42,10 +42,10 @@ from .polyring import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is not a cached 1
 def cyclotomic_polynomial(n: int) -> Coeffs:
     """Phi_n as an exact coefficient tuple."""
-    if n < 1:
+    if integer(n) < 1:
         raise ValueError("n must be positive")
     num = poly([-1] + [0] * (n - 1) + [1])  # x^n - 1
     for d in range(1, n):

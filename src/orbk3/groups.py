@@ -32,7 +32,9 @@ class FiniteGroup:
     is validated on construction: its entries are integers, every row and
     column is a permutation of the elements, there is a two-sided identity,
     and it is associative.  An associative Latin square with an identity is a
-    group, so the inverse of g is where the identity sits in g's row.
+    group, so the inverse of g is where the identity sits in g's row.  The
+    associativity test keeps `generators`: each is the first element outside
+    the subgroup generated by the ones before it, and together they generate G.
     """
 
     def __init__(self, cayley, labels=None):
@@ -68,6 +70,7 @@ class FiniteGroup:
             for row in table:
                 if table[row[g]] != tuple(map(row.__getitem__, table[g])):
                     raise GroupError("Cayley table is not associative")
+        self.generators = tuple(gens)
         self.cayley = table
         self.order = n
         self.identity = identity
@@ -118,11 +121,8 @@ class FiniteGroup:
         return lcm(*self.element_orders)
 
     def is_abelian(self) -> bool:
-        return all(
-            self.cayley[i][j] == self.cayley[j][i]
-            for i in range(self.order)
-            for j in range(i)
-        )
+        """Generators commuting pairwise make every pair commute."""
+        return all(self.cayley[x][y] == self.cayley[y][x] for x in self.generators for y in self.generators)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.cayley == other.cayley
@@ -156,7 +156,7 @@ class FiniteGroup:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/nZ with element i representing g^i."""
-    if n < 1:
+    if (n := integer(n)) < 1:
         raise GroupError("n must be positive")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
@@ -164,16 +164,10 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    n, m = g.order, h.order
-    table = [
-        [
-            g.mul(a // m, b // m) * m + h.mul(a % m, b % m)
-            for b in range(n * m)
-        ]
-        for a in range(n * m)
-    ]
-    labels = [f"({g.labels[a // m]},{h.labels[a % m]})" for a in range(n * m)]
-    return FiniteGroup(table, labels)
+    """G x H with element a * |H| + b representing (a, b)."""
+    pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
+    table = [[g.mul(a, c) * h.order + h.mul(b, d) for c, d in pairs] for a, b in pairs]
+    return FiniteGroup(table, [f"({g.labels[a]},{h.labels[b]})" for a, b in pairs])
 
 
 def symmetric_group_s3() -> FiniteGroup:
@@ -270,45 +264,28 @@ def regular_character(g: FiniteGroup) -> Character:
 
 
 def abelian_character_table(g: FiniteGroup) -> tuple[Character, ...]:
-    """All |G| irreducible characters of an abelian group.
+    """All |G| irreducible characters of an abelian group, extended along `g.generators`.
 
-    Characters are built by extending along a chain of cyclic extensions;
-    values are powers of zeta_E with E the exponent of G, tracked as integer
-    exponents so everything stays exact.
+    A character is its exponents a, chi(h) = zeta_E^a with E the exponent of G.  With x^k
+    the least power of the next generator x in the subgroup H reached so far, k divides
+    chi(x^k) and chi has k extensions chi(h x^j) = chi(h) + j a, a = chi(x^k)/k + t E/k.
     """
     if not g.is_abelian():
         raise GroupError("internal character tables only for abelian groups")
-    e = g.exponent()
-    # each character: tuple of exponents a_i with chi(i) = zeta_E^{a_i}
-    subgroup = [g.identity]
-    chars: list[dict[int, int]] = [{g.identity: 0}]
-    while len(subgroup) < g.order:
-        gen = next(i for i in range(g.order) if i not in subgroup)
-        # k = index of <subgroup, gen> over subgroup
-        k, cur = 1, gen
-        while cur not in subgroup:
-            cur = g.mul(cur, gen)
-            k += 1
-        anchor = cur  # gen^k, inside the current subgroup
-        powers = [g.identity]
-        for _ in range(k - 1):
-            powers.append(g.mul(powers[-1], gen))
-        new_subgroup = [g.mul(h, p) for h in subgroup for p in powers]
-        new_chars = []
+    e, chars = g.exponent(), [{g.identity: 0}]  # each defined on H, the keys of chars[0]
+    for x in g.generators:
+        k, xk = 1, x
+        while xk not in chars[0]:
+            k, xk = k + 1, g.mul(xk, x)
+        extended = []
         for chi in chars:
-            b = chi[anchor]
-            # solve k*a = b (mod E); solvable with exactly k solutions
-            assert b % k == 0
-            a0 = (b // k) % e
-            step = e // k
             for t in range(k):
-                a = (a0 + t * step) % e
-                ext = dict(chi)
-                for h in subgroup:
-                    for j, p in enumerate(powers):
-                        ext[g.mul(h, p)] = (chi[h] + j * a) % e
-                new_chars.append(ext)
-        subgroup, chars = new_subgroup, new_chars
+                a, ext, coset = (chi[xk] + t * e) // k, dict(chi), chi
+                for _ in range(k - 1):
+                    coset = {g.mul(h, x): (v + a) % e for h, v in coset.items()}
+                    ext.update(coset)
+                extended.append(ext)
+        chars = extended
     table = [
         Character(g, [root_of_unity(e, chi[c.representative]) for c in g.classes]) for chi in chars
     ]

@@ -172,6 +172,7 @@ def _ade_edges(kind: str, rank: int) -> list[tuple[int, int]]:
 
 def ade_form(kind: str, rank: int) -> ADEForm:
     """The intersection form: -2 on the diagonal, +1 for adjacent nodes."""
+    rank = integer(rank)
     edges = _ade_edges(kind, rank)
     mat = [[-2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j in edges:

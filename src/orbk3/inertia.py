@@ -43,7 +43,7 @@ FIXED_POINT_TABLE = {2: 8, 3: 6, 4: 4, 5: 4, 6: 2, 7: 3, 8: 2}
 
 def fixed_points_closed_form(n: int) -> int:
     """f_n = (24/n) * prod_{p | n} (1 + 1/p)^{-1}, exact, for n >= 1."""
-    if n < 1:
+    if (n := integer(n)) < 1:
         raise ModelError(f"closed-form fixed point count requires n >= 1, got {n}")
     value = Fraction(24, n)
     for p in range(2, n + 1):

@@ -62,7 +62,7 @@ class PicardLattice:
             raise LatticeError("ample class must have positive self-intersection")
 
     def intersect(self, a, b) -> int:
-        a, b = tuple(a), tuple(b)
+        a, b = integers(a), integers(b)
         if len(a) != self.rank or len(b) != self.rank:
             raise LatticeError("class length does not match lattice rank")
         return sum(a[i] * self.gram[i][j] * b[j] for i in range(self.rank) for j in range(self.rank))

@@ -15,7 +15,8 @@ from math import comb, prod
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
-from .polyring import QuotientRing, QuotientRingElement, integers, monomial, poly, poly_fold, poly_mul
+from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
+from .polyring import poly, poly_fold, poly_mul
 
 
 class ToyStackError(ValueError):
@@ -34,7 +35,7 @@ class GroupRingElement(QuotientRingElement):
 
     def __init__(self, n: int, coeffs):
         coeffs = tuple(coeffs)
-        if n < 1:
+        if (n := integer(n)) < 1:
             raise ToyStackError("ring rank must be positive")
         if len(coeffs) > n:
             raise ToyStackError("coefficient vector longer than the ring rank")
@@ -46,7 +47,7 @@ class GroupRingElement(QuotientRingElement):
 
     @classmethod
     def monomial(cls, n: int, k: int) -> "GroupRingElement":
-        if n < 1:
+        if (n := integer(n)) < 1:
             raise ToyStackError("ring rank must be positive")
         return cls(n, monomial(k % n))
 
@@ -68,8 +69,7 @@ def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ToyStackError("vector length mismatch")
-    if n is None:
-        n = len(a)
+    n = len(a) if n is None else integer(n)
     if n < 1:
         raise ToyStackError("n must be positive")
     acc = Cyclotomic.zero()
@@ -168,6 +168,7 @@ def orbch_p23(k: int) -> ChowP23Element:
     The components are ((1+h)^k mod h^2, (-1)^k, zeta_6^k, zeta_6^{5k});
     negative k uses the formal inverse (1+h)^{-1} = 1 - h.
     """
+    k = integer(k)
     return ChowP23Element(
         (Cyclotomic.one(), Cyclotomic.from_rational(k)),
         (
@@ -183,7 +184,7 @@ def orbch_p23(k: int) -> ChowP23Element:
 
 def bg_moduli_count(n: int, d: int) -> int:
     """Number of degree-d numerical classes on B(mu_n): C(n+d-1, n-1)."""
-    if n < 1 or d < 0:
+    if integer(n) < 1 or integer(d) < 0:
         raise ToyStackError("need n >= 1 and d >= 0")
     return comb(n + d - 1, n - 1)
 

@@ -42,11 +42,19 @@ from orbk3.lattice import (
     LatticeError,
     MukaiVector,
     PicardLattice,
+    elliptic_k3_lattice,
     fermat_quotient_lattice,
     hilbert_polynomial,
 )
 from orbk3.polyring import QuotientRing
-from orbk3.toystacks import GroupRingElement, ToyStackError, coefficient_pairing, weighted_inner_product
+from orbk3.toystacks import (
+    GroupRingElement,
+    ToyStackError,
+    bg_moduli_count,
+    coefficient_pairing,
+    orbch_p23,
+    weighted_inner_product,
+)
 
 
 def _stabilizer_not_dividing_order():
@@ -116,6 +124,9 @@ RAISES = {
     "hilb-class-float": (TypeError, lambda: HilbClassMu2(1.0, (0,) * 8)),
     "ade-pair-float": (TypeError, lambda: ade_form("A", 1).pair((0.5,), (1,))),
     "dim-ade-float": (TypeError, lambda: dim_ade(1.5, [(1,)], [ade_form("A", 1)])),
+    "intersect-float": (TypeError, lambda: fermat_quotient_lattice().intersect((0.5,), (1,))),
+    "intersect-float-rank-2": (TypeError, lambda: elliptic_k3_lattice().intersect([1.5, 0], [1, 0])),
+    "degree-float": (TypeError, lambda: elliptic_k3_lattice().degree([1.5, 0])),
     # ... and bool, a subclass of int that `operator.index` takes as 0 or 1
     "mukai-bool": (TypeError, lambda: MukaiVector(True, (), 0)),
     "mukai-bool-c1": (TypeError, lambda: MukaiVector(1, (False,), 0)),
@@ -127,6 +138,16 @@ RAISES = {
     "hilb-class-bool-m": (TypeError, lambda: HilbClassMu2(1, (False,) * 8)),
     "enumerate-bool": (TypeError, lambda: enumerate_mu2(True)),
     "cyclotomic-order-bool": (TypeError, lambda: Cyclotomic(True, (3,))),
+    "cyclic-group-bool": (TypeError, lambda: cyclic_group(True)),
+    "group-ring-bool": (TypeError, lambda: GroupRingElement(True, (1,))),
+    "group-ring-monomial-bool": (TypeError, lambda: GroupRingElement.monomial(True, 0)),
+    "weighted-n-bool": (TypeError, lambda: weighted_inner_product((1,), (1,), n=True)),
+    "bg-moduli-bool": (TypeError, lambda: bg_moduli_count(True, 2)),
+    "closed-form-bool": (TypeError, lambda: fixed_points_closed_form(True)),
+    "ade-rank-bool": (TypeError, lambda: ade_form("A", True)),
+    "orbch-bool": (TypeError, lambda: orbch_p23(True)),
+    # after Phi_1 is cached: an untyped cache would answer True with it
+    "cyclotomic-polynomial-bool": (TypeError, lambda: cyclotomic_polynomial(1) and cyclotomic_polynomial(True)),
     "cayley-bool-json": (GroupError, lambda: FiniteGroup.from_json({"cayley": [[False]]})),
     # a declared size is an int too, not just equal to one
     "declared-order-float": (GroupError, lambda: FiniteGroup.from_json({"order": 1.0, "cayley": [[0]]})),

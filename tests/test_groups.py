@@ -354,6 +354,41 @@ CLASS_DATA_GROUPS = SMALL_GROUPS + [
 ] + [_relabelled(direct_product(cyclic_group(3), cyclic_group(6)), 99)]
 
 
+def _closure(g: FiniteGroup, gens) -> set[int]:
+    reached, todo = {g.identity}, [g.identity]
+    for y in todo:
+        for x in gens:
+            if g.mul(y, x) not in reached:
+                reached.add(g.mul(y, x))
+                todo.append(g.mul(y, x))
+    return reached
+
+
+Z2_Z2 = direct_product(cyclic_group(2), cyclic_group(2))
+GENERATOR_GROUPS = CLASS_DATA_GROUPS + [
+    cyclic_group(60),
+    direct_product(cyclic_group(2), cyclic_group(30)),
+    direct_product(Z2_Z2, Z2_Z2),
+    direct_product(symmetric_group_s3(), cyclic_group(2)),
+    _relabelled(direct_product(symmetric_group_s3(), cyclic_group(2)), 4),
+    _relabelled(symmetric_group_s3(), 8),
+]
+
+
+@pytest.mark.parametrize(
+    "g", GENERATOR_GROUPS, ids=[f"{i}-order{g.order}" for i, g in enumerate(GENERATOR_GROUPS)]
+)
+def test_generator_chain(g):
+    """The generators reach G, each lies outside what the ones before it reach,
+    and testing their pairs for commutation agrees with testing all pairs."""
+    gens = g.generators
+    assert _closure(g, gens) == set(range(g.order))
+    for i, x in enumerate(gens):
+        assert x not in _closure(g, gens[:i])
+    pairs = range(g.order)
+    assert g.is_abelian() == all(g.mul(a, b) == g.mul(b, a) for a in pairs for b in pairs)
+
+
 def _brute_class_data(table):
     """Classes, inverse classes and element orders straight from a Cayley table."""
     n = len(table)
@@ -451,6 +486,10 @@ def test_character_table_json_is_unchanged():
     assert character_table_to_json(abelian_character_table(cyclic_group(12))) == expected["cyclic_12"]
     z2_z6 = direct_product(cyclic_group(2), cyclic_group(6))
     assert character_table_to_json(abelian_character_table(z2_z6)) == expected["c2_x_c6"]
+    z2_z2_z6 = direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(6))
+    assert character_table_to_json(abelian_character_table(z2_z2_z6)) == expected["c2_x_c2_x_c6"]
+    z4_z6 = _relabelled(direct_product(cyclic_group(4), cyclic_group(6)), 3)
+    assert character_table_to_json(abelian_character_table(z4_z6)) == expected["c4_x_c6_relabelled_3"]
 
 
 # -- externally supplied tables must be complete ------------------------------

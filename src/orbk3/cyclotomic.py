@@ -19,7 +19,9 @@ by term (GAP's `cyclotom.c`, Breuer 1997).  `sesquilinear_sum` returns
 sum c*conj(a)*b over triples of mixed orders: each factor is embedded into
 Q[x]/(x^L - 1), L the lcm of all the orders, by one `poly_fold` (conjugation
 is the same fold with a negative exponent), the products accumulate there,
-and the sum is reduced mod Phi_L once.  The orbifold pairing runs on it.
+and the sum is reduced mod Phi_L once.  The orbifold pairing runs on it, and the
+unit identity (`inertia.validate_identity`) on the same scheme: one inverse
+per eigenvalue order, Galois conjugates by `poly_fold`, one reduction mod Phi_L.
 """
 
 from __future__ import annotations
@@ -233,9 +235,9 @@ def sesquilinear_sum(terms) -> Cyclotomic:
 
 def root_of_unity(order: int, exponent: int = 1) -> Cyclotomic:
     """zeta_order^exponent, in Q(zeta_order); `embed` takes it into a larger field."""
-    if order < 1:
+    if (order := integer(order)) < 1:
         raise ValueError("order must be positive")
-    return _zeta_powers(order)[exponent % order]
+    return _zeta_powers(order)[integer(exponent) % order]
 
 
 def inverse_one_minus_re(lam: Cyclotomic) -> Cyclotomic:

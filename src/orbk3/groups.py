@@ -286,9 +286,8 @@ def abelian_character_table(g: FiniteGroup) -> tuple[Character, ...]:
                     ext.update(coset)
                 extended.append(ext)
         chars = extended
-    table = [
-        Character(g, [root_of_unity(e, chi[c.representative]) for c in g.classes]) for chi in chars
-    ]
+    zeta = [root_of_unity(e, a) for a in range(e)]  # every exponent is reduced mod e
+    table = [Character(g, [zeta[chi[c.representative]] for c in g.classes]) for chi in chars]
     # deterministic order: by exponent vector over class representatives
     table.sort(key=lambda ch: tuple(tuple(c.coeffs) for c in ch.values))
     return tuple(table)

@@ -17,10 +17,10 @@ from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, ExactnessError, inverse_one_minus_re, root_of_unity
+from .cyclotomic import Cyclotomic, ExactnessError, _common_order, inverse_one_minus_re, root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
 from .lattice import PicardLattice
-from .polyring import integer
+from .polyring import integer, poly_fold
 
 
 class ModelError(ValueError):
@@ -229,19 +229,31 @@ def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
 def validate_identity(model: K3GModel) -> Fraction:
     """Exact value of 1/|G| + (1/4) sum 1/(|G_ij| (1 - Re lambda_ij)).
 
-    The rational factors mult/|G_ij| are summed per distinct eigenvalue
-    first, so each eigenvalue costs one inverse in its own field Q(zeta_m),
-    however many sectors carry it; the total lands in Q(zeta_L), L the lcm of
-    the eigenvalue orders.  An irrational total raises ExactnessError.
+    One inverse per eigenvalue order, Galois conjugates by `poly_fold`, one
+    reduction mod Phi_L.  The factors mult/|G_ij| are summed per eigenvalue
+    zeta_m^e, and each order m costs one inverse u_m = 1/(1 - Re zeta_m) in
+    Q(zeta_m).  The term of zeta_m^e is the conjugate sigma_e(u_m), which in
+    Q(zeta_L), L the lcm of the eigenvalue orders (`_common_order`), is
+    u_m(x^(e L/m)) mod x^L - 1: one `poly_fold`.  The terms accumulate in
+    Q[x]/(x^L - 1), and Phi_L divides x^L - 1, so the sum is reduced once.
+    An irrational total raises ExactnessError.
     """
-    factors: dict[tuple[int, int], Fraction] = {}
+    factors: dict[int, dict[int, Fraction]] = {}  # m -> e mod m -> sum of mult/|G_ij|
     for s in model.sectors:
-        key = (s.eig_order, s.eig_exp % s.eig_order)
-        factors[key] = factors.get(key, 0) + Fraction(s.multiplicity, s.stabilizer_order)
-    total = Cyclotomic.from_rational(Fraction(1, model.group.order))
-    for (order, exp), factor in factors.items():
-        total = total + inverse_one_minus_re(root_of_unity(order, exp)) * (factor / 4)
-    return total.as_rational()
+        by_exp = factors.setdefault(s.eig_order, {})
+        exp = s.eig_exp % s.eig_order
+        by_exp[exp] = by_exp.get(exp, 0) + Fraction(s.multiplicity, s.stabilizer_order)
+    L = _common_order(list(factors))
+    acc = [Fraction(0)] * L
+    acc[0] = Fraction(1, model.group.order)
+    for m, by_exp in factors.items():
+        u = inverse_one_minus_re(root_of_unity(m)).coeffs
+        for exp, factor in by_exp.items():
+            quarter = factor / 4
+            for k, c in enumerate(poly_fold(u, exp * (L // m), L)):
+                if c:
+                    acc[k] += c * quarter
+    return Cyclotomic(L, acc).as_rational()
 
 
 def solve_fixed_points_cyclic(n: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
-from .polyring import Coeffs, integer, integers, poly
+from .polyring import Coeffs, integer, integers, poly, rationals
 
 INFINITE_SLOPE = "infinity"
 
@@ -139,6 +139,7 @@ class MukaiVector:
         )
 
     def scale(self, k: int) -> "MukaiVector":
+        k = integer(k)
         return MukaiVector(k * self.r, tuple(k * x for x in self.c1), k * self.s)
 
     def is_primitive(self) -> bool:
@@ -172,9 +173,9 @@ def hilbert_polynomial(lattice: PicardLattice, v: MukaiVector) -> Coeffs:
 
 def reduced_hilbert_polynomial(p: Coeffs) -> Coeffs:
     """P divided by its leading coefficient (monic normalization)."""
-    if not p:
+    if not (p := rationals(p)):
         raise LatticeError("reduced Hilbert polynomial of the zero polynomial")
-    return tuple(Fraction(c) / p[-1] for c in p)
+    return tuple(c / p[-1] for c in p)
 
 
 def degree_and_slope(lattice: PicardLattice, v: MukaiVector):
@@ -187,7 +188,7 @@ def degree_and_slope(lattice: PicardLattice, v: MukaiVector):
 
 def poly_leq_eventually(p: Coeffs, q: Coeffs) -> bool:
     """p(z) <= q(z) for z >> 0: sign of the top coefficient of q - p."""
-    diff = poly(b - a for a, b in zip_longest(p, q, fillvalue=0))
+    diff = poly(b - a for a, b in zip_longest(rationals(p), rationals(q), fillvalue=0))
     return not diff or diff[-1] > 0
 
 

@@ -9,7 +9,7 @@ operand an integer vector over one denominator, through one pseudo-division
 routine in Z[x], `_pseudo_divmod`: division calls it once, inversion once per
 step of its remainder sequence.  One Fraction per output coefficient is built
 at the end.  `integer` and `integers` are the one integer coercion of every
-loader.
+loader, and `rationals` the one exact-coefficient coercion.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ def integers(values: Iterable) -> tuple[int, ...]:
     if bool in set(map(type, values)):
         raise TypeError("expected integers, got bool")
     return tuple(map(index, values))
+
+
+def rationals(values: Iterable) -> Coeffs:
+    """values as Fractions, each an int or a Fraction: bool, float and str raise TypeError."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, (int, Fraction)) for v in values):
+        raise TypeError("expected ints and Fractions")
+    return tuple(map(Fraction, values))
 
 
 def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:

@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from orbk3 import polyring
@@ -29,3 +32,22 @@ def mul_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(polyring, "poly_mul", counted)
     return calls
+
+
+@pytest.fixture
+def retained_bytes():
+    """fn, inputs -> memory still traced after fn(*args) for every args in inputs and a collection."""
+
+    def measure(fn, inputs):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for args in inputs:
+                fn(*args)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    return measure

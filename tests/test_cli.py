@@ -102,10 +102,11 @@ def test_verify_identity_preset(capsys):
 
 
 # The unit identity is evaluated once, where the model is built: fixed-points inverts once
-# per divisor of 8 in the solver (3) and once per distinct eigenvalue of preset_cyclic(8) (7).
+# per divisor of 8 in the solver (3), and the identity of preset_cyclic(8) takes one inverse
+# per eigenvalue order, Galois conjugates by `poly_fold`, one reduction mod Phi_L (3).
 @pytest.mark.parametrize(
     "argv, inverses",
-    [(["fixed-points", "--order", "8"], 10), (["verify-identity", "--preset", "cyclic:8"], 7)],
+    [(["fixed-points", "--order", "8"], 6), (["verify-identity", "--preset", "cyclic:8"], 3)],
 )
 def test_unit_identity_is_evaluated_once(capsys, inverse_calls, argv, inverses):
     code, _, _ = run(capsys, *argv)

@@ -45,6 +45,8 @@ from orbk3.lattice import (
     elliptic_k3_lattice,
     fermat_quotient_lattice,
     hilbert_polynomial,
+    poly_leq_eventually,
+    reduced_hilbert_polynomial,
 )
 from orbk3.polyring import QuotientRing
 from orbk3.toystacks import (
@@ -146,6 +148,13 @@ RAISES = {
     "closed-form-bool": (TypeError, lambda: fixed_points_closed_form(True)),
     "ade-rank-bool": (TypeError, lambda: ade_form("A", True)),
     "orbch-bool": (TypeError, lambda: orbch_p23(True)),
+    "root-of-unity-exponent-bool": (TypeError, lambda: root_of_unity(4, True)),
+    "root-of-unity-exponent-float": (TypeError, lambda: root_of_unity(4, 1.0)),
+    "root-of-unity-order-bool": (TypeError, lambda: root_of_unity(True)),
+    "mukai-scale-bool": (TypeError, lambda: MukaiVector(1, (0,), 0).scale(True)),
+    # exact coefficients are ints and Fractions: a float would round in, a bool count as 0 or 1
+    "leq-eventually-float": (TypeError, lambda: poly_leq_eventually((0.5,), (1,))),
+    "reduced-hilbert-bool": (TypeError, lambda: reduced_hilbert_polynomial((True, 2))),
     # after Phi_1 is cached: an untyped cache would answer True with it
     "cyclotomic-polynomial-bool": (TypeError, lambda: cyclotomic_polynomial(1) and cyclotomic_polynomial(True)),
     "cayley-bool-json": (GroupError, lambda: FiniteGroup.from_json({"cayley": [[False]]})),

@@ -4,13 +4,14 @@ import runpy
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbk3 import inertia
-from orbk3.cyclotomic import Cyclotomic, ExactnessError
+from orbk3.cyclotomic import AmbientFieldError, Cyclotomic, ExactnessError, inverse_one_minus_re
 from orbk3.groups import abelian_character_table
 from orbk3.hrr import EquivariantClass, euler_pairing, structure_sheaf_class
 from orbk3.inertia import (
@@ -103,12 +104,58 @@ def test_identity_with_negative_and_large_exponents_of_one_eigenvalue():
     assert validate_identity(model) == per_sector_identity(model)
 
 
-def test_identity_inverts_once_per_distinct_eigenvalue(inverse_calls):
+def test_identity_retains_no_memory(retained_bytes):
+    # the seven presets, each also with exponents shifted by multiples of the order and with
+    # every eigenvalue moved to a Galois conjugate (11 and 13 are prime to every order, and
+    # the totals may be irrational), 20 times over: no accumulator or inverse outlives a call
+    models = []
+    for n in range(2, 9):
+        base = preset_cyclic(n)
+        for unit, shift in ((1, 0), (1, -2), (11, 3), (13, -1)):
+            sectors = [
+                SectorEntry(s.class_index, s.stabilizer_order, s.eig_order, s.eig_exp * unit + shift * s.eig_order, 1)
+                for s in base.sectors
+            ]
+            models.append(K3GModel(base.group, sectors, base.lattice, validate=False))
+    assert retained_bytes(outcome, [(validate_identity, model) for model in models] * 20) < 64 * 1024
+
+
+def stand_in(order, *eigenvalues):
+    """What the identity reads of a model: `.group.order`, and one orbit fixed by all of G per
+    (eigenvalue order, exponent)."""
+    sectors = tuple(SectorEntry(i, order, m, e, 1) for i, (m, e) in enumerate(eigenvalues))
+    return SimpleNamespace(group=SimpleNamespace(order=order), sectors=sectors)
+
+
+def test_identity_raises_where_orders_meet_beyond_the_bound(inverse_calls):
+    # 29 and 31 meet in Q(zeta_899), beyond 840: the lcm is checked before any inverse
+    with pytest.raises(AmbientFieldError):
+        validate_identity(stand_in(899, (29, 1), (31, 1)))
+    assert inverse_calls == []
+
+
+def test_identity_evaluates_when_the_lcm_is_an_eigenvalue_order():
+    # lcm(29, 30) = 870 exceeds 840 but is itself an eigenvalue order, so the bound allows
+    # Q(zeta_870), which the order-870 term needs anyway; a sum folded pairwise, in sector
+    # order, would meet 29 and 30 first and raise AmbientFieldError
+    model = stand_in(870, (29, 1), (30, 7), (870, 11))
+    expected = Cyclotomic.from_rational(Fraction(1, 870))
+    for s in model.sectors:
+        expected = expected + (inverse_one_minus_re(s.eigenvalue()) / (4 * 870)).embed(870)
+    with pytest.raises(ExactnessError) as exc:
+        validate_identity(model)
+    assert exc.value.value == expected
+
+
+def test_identity_inverts_once_per_eigenvalue_order(inverse_calls):
+    # 18 sectors carry 7 distinct eigenvalues of orders 2, 4 and 8: one inverse in
+    # Q(zeta_m) per order m, of degree phi(m); the other eigenvalues are its Galois conjugates
     model = preset_cyclic(8)
     inverse_calls.clear()
     assert validate_identity(model) == 1
     eigenvalues = {(s.eig_order, s.eig_exp % s.eig_order) for s in model.sectors}
-    assert (len(model.sectors), len(eigenvalues), len(inverse_calls)) == (18, 7, 7)
+    assert (len(model.sectors), len(eigenvalues), len(inverse_calls)) == (18, 7, 3)
+    assert sorted(inverse_calls) == [1, 2, 4]
 
 
 def test_solver_inverts_once_per_divisor(inverse_calls):
@@ -122,11 +169,12 @@ FIXED_POINT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fixed_po
 
 
 def test_fixed_point_script_checks_each_identity_once(capsys, inverse_calls):
-    # per order n = 2..8: the solver's d(n) - 1 inverses (12 in all) and one preset
-    # built once, one inverse per distinct eigenvalue (28 in all)
+    # per order n = 2..8: the solver's d(n) - 1 inverses (12 in all) and one preset built
+    # once, with one inverse per eigenvalue order, Galois conjugates by `poly_fold` and one
+    # reduction mod Phi_L: again d(n) - 1 inverses (12 in all)
     assert runpy.run_path(str(FIXED_POINT_SCRIPT))["main"]() == 0
     assert capsys.readouterr().out.count("1 (ok)") == 7
-    assert len(inverse_calls) == 40
+    assert len(inverse_calls) == 24
 
 
 def test_fixed_point_script_fails_on_identity_error(capsys, monkeypatch):

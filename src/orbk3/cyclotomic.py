@@ -166,7 +166,7 @@ class Cyclotomic(QuotientRingElement):
 
     def embed(self, L: int) -> "Cyclotomic":
         """Image in the larger field Q(zeta_L); requires self.L | L."""
-        if L == self.L:
+        if (L := integer(L)) == self.L:
             return self
         if L % self.L != 0:
             raise AmbientFieldError(f"cannot embed Q(zeta_{self.L}) into Q(zeta_{L})")

@@ -1,9 +1,9 @@
 """Finite groups via Cayley tables, conjugacy data, and character theory.
 
-A group computes its conjugacy data (the classes, each element's class, the
-class of each inverse, the element orders) on first use and at most once;
-a character is just a group and one value per class.  Character values live
-in Q(zeta_E) where E is the exponent of the group, so inner products and
+A group is read through its tables: cayley[i][j] is i*j, inverses[i] is i^-1,
+and the conjugacy data (classes, class_of, inverse_class, element_orders) is
+computed on first use and at most once.  A character is a group and one value
+per class in Q(zeta_E), E the exponent of the group, so inner products and
 invariant dimensions come out exact.  Only abelian character tables are
 computed internally; nonabelian tables (e.g. S3) are supplied externally
 and checked for one row per class and orthonormality.
@@ -80,12 +80,6 @@ class FiniteGroup:
             raise GroupError(f"labels must be a list of {n} strings, one per element")
         self.labels = tuple(labels)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
-
     # -- conjugacy data, computed on first use ----------------------------
 
     @cached_property
@@ -113,9 +107,6 @@ class FiniteGroup:
                 cur, k = self.cayley[cur][i], k + 1
             orders.append(k)
         return tuple(orders)
-
-    def element_order(self, i: int) -> int:
-        return self.element_orders[i]
 
     def exponent(self) -> int:
         return lcm(*self.element_orders)
@@ -166,7 +157,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with element a * |H| + b representing (a, b)."""
     pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
-    table = [[g.mul(a, c) * h.order + h.mul(b, d) for c, d in pairs] for a, b in pairs]
+    table = [[g.cayley[a][c] * h.order + h.cayley[b][d] for c, d in pairs] for a, b in pairs]
     return FiniteGroup(table, [f"({g.labels[a]},{h.labels[b]})" for a, b in pairs])
 
 
@@ -193,11 +184,11 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
 
 
 def _conjugacy_partition(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
-    seen, classes = set(), []
+    table, seen, classes = g.cayley, set(), []
     for rep in range(g.order):
         if rep in seen:
             continue
-        members = sorted({g.mul(g.mul(h, rep), g.inv(h)) for h in range(g.order)})
+        members = sorted({table[table[h][rep]][h_inv] for h, h_inv in enumerate(g.inverses)})
         seen.update(members)
         classes.append(ConjugacyClass(members[0], tuple(members), g.order // len(members)))
     classes.sort(key=lambda c: (c.representative != g.identity, c.members[0]))
@@ -215,9 +206,6 @@ class Character:
         if len(vals) != len(group.classes):
             raise GroupError("one value per conjugacy class required")
         self.values = vals
-
-    def value_at_element(self, element: int) -> Cyclotomic:
-        return self.values[self.group.class_of[element]]
 
     def degree(self) -> Cyclotomic:
         return self.values[0]
@@ -276,13 +264,13 @@ def abelian_character_table(g: FiniteGroup) -> tuple[Character, ...]:
     for x in g.generators:
         k, xk = 1, x
         while xk not in chars[0]:
-            k, xk = k + 1, g.mul(xk, x)
+            k, xk = k + 1, g.cayley[xk][x]
         extended = []
         for chi in chars:
             for t in range(k):
                 a, ext, coset = (chi[xk] + t * e) // k, dict(chi), chi
                 for _ in range(k - 1):
-                    coset = {g.mul(h, x): (v + a) % e for h, v in coset.items()}
+                    coset = {g.cayley[h][x]: (v + a) % e for h, v in coset.items()}
                     ext.update(coset)
                 extended.append(ext)
         chars = extended
@@ -312,10 +300,10 @@ def char_inner_product_elementwise(chi: Character, psi: Character) -> Fraction:
 
     It must not share that function's centralizer-order fold, or one fault would pass both."""
     chi._check(psi)
-    g = chi.group
+    g, class_of = chi.group, chi.group.class_of
     total = Cyclotomic.zero()
-    for h in range(g.order):
-        total = total + chi.value_at_element(g.inv(h)) * psi.value_at_element(h)
+    for h, h_inv in enumerate(g.inverses):
+        total = total + chi.values[class_of[h_inv]] * psi.values[class_of[h]]
     return (total * Fraction(1, g.order)).as_rational()
 
 

@@ -113,7 +113,7 @@ class K3GModel:
             if group.order % s.stabilizer_order != 0:
                 raise ModelError("stabilizer order must divide the group order")
             rep = self.classes[s.class_index + 1].representative
-            if group.element_order(rep) != s.eig_order:
+            if group.element_orders[rep] != s.eig_order:
                 raise ModelError(
                     "eigenvalue order must equal the order of the class representative"
                 )
@@ -133,7 +133,8 @@ class K3GModel:
     def sector_weights(self) -> tuple[Cyclotomic, ...]:
         """mult / (|G_ij| (1 - Re lambda_ij)) per sector, each in the field of its eigenvalue.
 
-        The unit identity and the orbifold pairing both sum over these.
+        The orbifold pairing sums over these.  The unit identity folds one inverse per
+        eigenvalue order instead, and the tests sum these weights as its per-sector reference.
         """
         return tuple(
             inverse_one_minus_re(s.eigenvalue()) * Fraction(s.multiplicity, s.stabilizer_order)

@@ -172,8 +172,8 @@ def hilbert_polynomial(lattice: PicardLattice, v: MukaiVector) -> Coeffs:
 
 
 def reduced_hilbert_polynomial(p: Coeffs) -> Coeffs:
-    """P divided by its leading coefficient (monic normalization)."""
-    if not (p := rationals(p)):
+    """P divided by its leading coefficient (monic normalization); trailing zeros are dropped."""
+    if not (p := poly(rationals(p))):
         raise LatticeError("reduced Hilbert polynomial of the zero polynomial")
     return tuple(c / p[-1] for c in p)
 

@@ -49,7 +49,7 @@ class GroupRingElement(QuotientRingElement):
     def monomial(cls, n: int, k: int) -> "GroupRingElement":
         if (n := integer(n)) < 1:
             raise ToyStackError("ring rank must be positive")
-        return cls(n, monomial(k % n))
+        return cls(n, monomial(integer(k) % n))
 
     def _pair(self, other):
         if isinstance(other, GroupRingElement) and other.n != self.n:

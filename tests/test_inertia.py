@@ -92,6 +92,45 @@ def test_identity_matches_the_per_sector_sum_on_json_models(n, data):
     assert outcome(validate_identity, model) == outcome(per_sector_identity, model)
 
 
+def value_or_raised(f, *args):
+    """(value, raised): an irrational value is read off the ExactnessError."""
+    try:
+        return f(*args), False
+    except ExactnessError as exc:
+        return exc.value, True
+
+
+def assert_identity_is_half_the_structure_sheaf_pairing(model):
+    # chi(O, O) on [X/G] is 2 for symplectic G: <(1,0,1)^2>/|G| = 2/|G| untwisted, and each
+    # twisted term is half a sector weight, so the pairing is twice the unit identity.  The
+    # identity folds one inverse per eigenvalue order; the pairing sums per-sector weights.
+    identity, identity_raised = value_or_raised(validate_identity, model)
+    structure = structure_sheaf_class(model)
+    pairing, pairing_raised = value_or_raised(euler_pairing, model, structure, structure)
+    assert identity_raised == pairing_raised
+    assert pairing == identity * 2
+
+
+@pytest.mark.parametrize("n", [1, *range(2, 9)])
+def test_identity_is_half_the_structure_sheaf_pairing_on_presets(n):
+    model = trivial_model() if n == 1 else preset_cyclic(n)
+    assert_identity_is_half_the_structure_sheaf_pairing(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_identity_is_half_the_structure_sheaf_pairing_on_json_models(n, data):
+    # each sector's eigenvalue moves to a Galois conjugate, shifted by a multiple of its
+    # order, and its multiplicity changes: the totals may be irrational
+    doc = preset_cyclic(n).to_json()
+    for s in doc["sectors"]:
+        m = s["eig_order"]
+        unit = data.draw(st.sampled_from([u for u in range(1, m) if gcd(u, m) == 1]))
+        s["eig_exp"] = s["eig_exp"] * unit % m + m * data.draw(st.integers(-2, 2))
+        s["multiplicity"] = data.draw(st.integers(1, 3))
+    assert_identity_is_half_the_structure_sheaf_pairing(K3GModel.from_json(doc, validate=False))
+
+
 def test_identity_with_negative_and_large_exponents_of_one_eigenvalue():
     # zeta_4^-1 = zeta_4^3 = zeta_4^7 = zeta_4^-5: one eigenvalue written four ways
     base = preset_cyclic(4)
@@ -209,7 +248,7 @@ def test_preset_point_count_per_class(n):
     model = preset_cyclic(n)
     for index, (_, points) in per_class_sums(model).items():
         rep = model.classes[index + 1].representative
-        assert points == fixed_points_closed_form(model.group.element_order(rep))
+        assert points == fixed_points_closed_form(model.group.element_orders[rep])
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -333,7 +372,7 @@ def test_preset_eigenvalues_are_primitive(n):
     model = preset_cyclic(n)
     for s in model.sectors:
         rep = model.classes[s.class_index + 1].representative
-        assert model.group.element_order(rep) == s.eig_order
+        assert model.group.element_orders[rep] == s.eig_order
         # eigenvalue is a primitive eig_order-th root of unity
         lam = s.eigenvalue()
         assert lam ** s.eig_order == 1

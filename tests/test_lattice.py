@@ -111,6 +111,12 @@ def test_reduced_hilbert_polynomial():
         reduced_hilbert_polynomial(())
 
 
+def test_reduced_hilbert_polynomial_drops_trailing_zeros():
+    # the leading coefficient is the last nonzero one, not the last entry
+    assert reduced_hilbert_polynomial((1, 0)) == (1,)
+    assert reduced_hilbert_polynomial((2, 4, 0)) == (Fraction(1, 2), 1)
+
+
 def test_degree_and_slope():
     lat = fermat_quotient_lattice()
     assert degree_and_slope(lat, MukaiVector(2, (1,), 0)) == (16, 8)

@@ -144,6 +144,44 @@ def test_public_signatures():
     assert dict(_signatures()) == SIGNATURES
 
 
+# The public names in vars() of each exported class: its methods, properties and class
+# attributes (instance attributes such as FiniteGroup.cayley are set in __init__ and are not
+# listed).  A method added or removed shows up here as a change to the contract.
+METHODS = {
+    "ADEForm": {"pair"},
+    "AmbientFieldError": set(),
+    "Character": {"degree", "dual"},
+    "Cyclotomic": {
+        "L", "as_rational", "coerce", "conjugate", "embed", "from_rational", "is_rational", "one",
+        "real_part", "trace", "zero",
+    },
+    "EquivariantClass": {"from_json", "to_json"},
+    "ExactnessError": set(),
+    "FiniteGroup": {
+        "class_of", "classes", "element_orders", "exponent", "from_json", "inverse_class",
+        "is_abelian", "to_json",
+    },
+    "GroupRingElement": {"monomial", "n"},
+    "HilbClassMu2": set(),
+    "K3GModel": {"from_json", "sector_weights", "to_json"},
+    "MukaiVector": {"dual", "from_json", "is_primitive", "scale", "to_json"},
+    "OrbifoldMukaiVector": set(),
+    "PicardLattice": {"degree", "from_json", "h_squared", "intersect", "to_json", "zero_class"},
+    "QuotientRing": {"one", "reduce", "residue", "x", "zero"},
+    "QuotientRingElement": {"coeffs", "inverse", "is_zero", "ring"},
+    "SectorEntry": {"eigenvalue", "to_json"},
+}
+
+
+def test_public_methods():
+    methods = {
+        name: {attr for attr in vars(value) if not attr.startswith("_")}
+        for name, value in vars(orbk3).items()
+        if isinstance(value, type) and not name.startswith("_")
+    }
+    assert methods == METHODS
+
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # Benchmark span targets that name no callable of the library, so their spans read 0 calls:

@@ -147,7 +147,8 @@ class Cyclotomic(QuotientRingElement):
 
     @classmethod
     def from_rational(cls, value) -> "Cyclotomic":
-        return cls(1, (Fraction(value),))
+        """value, an int or a Fraction, in Q(zeta_1); a bool, float or str raises TypeError (`poly`)."""
+        return cls(1, (value,))
 
     @classmethod
     def coerce(cls, value) -> "Cyclotomic":
@@ -252,7 +253,7 @@ def sum_inverse_one_minus_cos(n: int) -> Fraction:
     their terms sum to Tr_{Q(zeta_m)/Q} 1/(1 - Re zeta_m): one inverse in
     Q(zeta_m) per divisor m > 1 of n, not one in Q(zeta_n) per k.
     """
-    if n < 2:
+    if integer(n) < 2:
         raise ValueError("n must be at least 2")
     return sum(inverse_one_minus_re(root_of_unity(m)).trace() for m in range(2, n + 1) if n % m == 0)
 

@@ -136,11 +136,15 @@ def enumerate_mu2(length: int) -> list[EnumerationRow]:
 
 @dataclass(frozen=True)
 class ADEForm:
-    """Negative Cartan matrix of an ADE root system (exceptional-divisor form)."""
+    """Negative Cartan matrix of an ADE root system (exceptional-divisor form); integer entries."""
 
     kind: str
     rank: int
     matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rank", integer(self.rank))
+        object.__setattr__(self, "matrix", tuple(integers(row) for row in self.matrix))
 
     def pair(self, a, b) -> int:
         a, b = integers(a), integers(b)

@@ -163,9 +163,9 @@ def load_model(path: str, validate: bool = True) -> K3GModel:
         return K3GModel.from_json(json.load(f), validate=validate)
 
 
-def trivial_model(lattice: PicardLattice | None = None) -> K3GModel:
+def trivial_model() -> K3GModel:
     """The trivial group acting on K3: no twisted sectors."""
-    return K3GModel(cyclic_group(1), (), lattice or _default_lattice())
+    return K3GModel(cyclic_group(1), (), _default_lattice())
 
 
 def _default_lattice() -> PicardLattice:
@@ -191,7 +191,7 @@ def _exact_stabilizer_counts(n: int) -> dict[int, int]:
 LOCAL_TYPES = {5: (1, 1, 2, 2), 7: (1, 2, 4), 8: (1, 3)}
 
 
-def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
+def preset_cyclic(n: int) -> K3GModel:
     """The model for a symplectic automorphism of order n, 2 <= n <= 8.
 
     Points with stabilizer of exact order d contribute t_d * d / n orbits
@@ -200,7 +200,7 @@ def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
     so every g != 1 satisfies the holomorphic Lefschetz formula
     sum_p 1/(1 - Re lambda_p) = 4.
     """
-    if not (2 <= n <= MAX_SYMPLECTIC_ORDER):
+    if not (2 <= integer(n) <= MAX_SYMPLECTIC_ORDER):
         raise ModelError(f"cyclic preset requires 2 <= n <= {MAX_SYMPLECTIC_ORDER}")
     t = _exact_stabilizer_counts(n)
     sectors = []
@@ -224,7 +224,7 @@ def preset_cyclic(n: int, lattice: PicardLattice | None = None) -> K3GModel:
                 )
                 for a in types or (1,) * orbits
             )
-    return K3GModel(cyclic_group(n), sectors, lattice or _default_lattice())
+    return K3GModel(cyclic_group(n), sectors, _default_lattice())
 
 
 def validate_identity(model: K3GModel) -> Fraction:
@@ -267,7 +267,7 @@ def solve_fixed_points_cyclic(n: int) -> int:
     inverse per divisor m.  The identity for g^(n/m), of order m, reads
     sum_{d | m, d > 1} f_d T(d) = 4(m - 1); the divisors are solved smallest first.
     """
-    if not (2 <= n <= MAX_SYMPLECTIC_ORDER):
+    if not (2 <= integer(n) <= MAX_SYMPLECTIC_ORDER):
         raise ModelError(f"solver requires 2 <= n <= {MAX_SYMPLECTIC_ORDER}")
     solved: dict[int, tuple[Fraction, int]] = {}  # m -> (T(m), f_m)
     for m in (d for d in range(2, n + 1) if n % d == 0):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
-from .polyring import Coeffs, integer, integers, poly, rationals
+from .polyring import Coeffs, integer, integers, poly
 
 INFINITE_SLOPE = "infinity"
 
@@ -173,7 +173,7 @@ def hilbert_polynomial(lattice: PicardLattice, v: MukaiVector) -> Coeffs:
 
 def reduced_hilbert_polynomial(p: Coeffs) -> Coeffs:
     """P divided by its leading coefficient (monic normalization); trailing zeros are dropped."""
-    if not (p := poly(rationals(p))):
+    if not (p := poly(p)):
         raise LatticeError("reduced Hilbert polynomial of the zero polynomial")
     return tuple(c / p[-1] for c in p)
 
@@ -188,7 +188,7 @@ def degree_and_slope(lattice: PicardLattice, v: MukaiVector):
 
 def poly_leq_eventually(p: Coeffs, q: Coeffs) -> bool:
     """p(z) <= q(z) for z >> 0: sign of the top coefficient of q - p."""
-    diff = poly(b - a for a, b in zip_longest(rationals(p), rationals(q), fillvalue=0))
+    diff = poly(b - a for a, b in zip_longest(poly(p), poly(q), fillvalue=0))
     return not diff or diff[-1] > 0
 
 

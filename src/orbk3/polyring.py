@@ -9,7 +9,8 @@ operand an integer vector over one denominator, through one pseudo-division
 routine in Z[x], `_pseudo_divmod`: division calls it once, inversion once per
 step of its remainder sequence.  One Fraction per output coefficient is built
 at the end.  `integer` and `integers` are the one integer coercion of every
-loader, and `rationals` the one exact-coefficient coercion.
+loader, and `poly` the one exact-coefficient coercion: a coefficient is an int
+or a Fraction, and a bool, float, str or any other type raises TypeError.
 """
 
 from __future__ import annotations
@@ -21,13 +22,19 @@ from typing import Iterable, Sequence
 
 Coeffs = tuple[Fraction, ...]
 
+_EXACT = frozenset((int, Fraction))  # matched by exact type, so bool, a subclass of int, is not
+
 
 def poly(coeffs: Iterable) -> Coeffs:
-    """Normalize a coefficient sequence: Fractions, trailing zeros stripped."""
-    cs = [Fraction(c) for c in coeffs]
+    """ints and Fractions as Fractions, trailing zeros stripped; any other coefficient raises TypeError."""
+    cs = [Fraction(c) if type(c) in _EXACT else _inexact(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def _inexact(c):
+    raise TypeError(f"expected an int or a Fraction, got {type(c).__name__}")
 
 
 def integer(value) -> int:
@@ -43,14 +50,6 @@ def integers(values: Iterable) -> tuple[int, ...]:
     if bool in set(map(type, values)):
         raise TypeError("expected integers, got bool")
     return tuple(map(index, values))
-
-
-def rationals(values: Iterable) -> Coeffs:
-    """values as Fractions, each an int or a Fraction: bool, float and str raise TypeError."""
-    values = tuple(values)
-    if any(isinstance(v, bool) or not isinstance(v, (int, Fraction)) for v in values):
-        raise TypeError("expected ints and Fractions")
-    return tuple(map(Fraction, values))
 
 
 def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
@@ -246,10 +245,10 @@ class QuotientRingElement:
     """A residue in a QuotientRing, and the one implementation of residue arithmetic.
 
     Immutable.  `coeffs` is the canonical residue (`QuotientRing.residue`).
-    Ints and Fractions combine as constants; an element of another type
-    raises TypeError, and one of another ring ValueError.  Subclasses fix the
-    ring and change only `_pair`, which brings two operands into one ring, and
-    `_eq_raises`.
+    Ints and Fractions combine as constants; any other operand, a bool or a
+    float included, raises TypeError, and an element of another ring
+    ValueError.  Subclasses fix the ring and change only `_pair`, which brings
+    two operands into one ring, and `_eq_raises`.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -267,8 +266,8 @@ class QuotientRingElement:
         return out
 
     def _pair(self, other) -> tuple:
-        """(self, other) as elements of one ring."""
-        if isinstance(other, (int, Fraction)):
+        """(self, other) as elements of one ring; a non-element is a constant, if `poly` takes it."""
+        if not isinstance(other, QuotientRingElement):
             return self, self._new(self.ring.residue((other,)))
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")

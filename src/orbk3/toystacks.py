@@ -97,7 +97,7 @@ def parseval_check(f: GroupRingElement, g: GroupRingElement) -> bool:
 
 def wps_ring(weights) -> QuotientRing:
     """K(P(a_0..a_n)) = Z[x] / ((x^{a_0}-1) ... (x^{a_n}-1))."""
-    weights = _wps_weights(weights)
+    weights = integers(weights)
     if len(weights) < 2 or any(a < 1 for a in weights):
         raise ToyStackError("need at least two positive weights")
     modulus = poly((1,))
@@ -106,17 +106,9 @@ def wps_ring(weights) -> QuotientRing:
     return QuotientRing(modulus)
 
 
-def _wps_weights(weights) -> tuple[int, ...]:
-    """The weights as exact ints (`polyring.integers`): 1.5, True and "2" are rejected."""
-    try:
-        return integers(weights)
-    except TypeError as exc:
-        raise ToyStackError(f"weights must be integers: {exc}") from exc
-
-
 def _wps_factors(weights) -> tuple[QuotientRing, list[QuotientRingElement]]:
     """The K-ring of P(weights) and its factors 1 - x^{-a}, one per weight; x is inverted once."""
-    weights = _wps_weights(weights)
+    weights = integers(weights)
     ring = wps_ring(weights)
     x_inverse = ring.x().inverse()
     return ring, [ring.one - x_inverse ** a for a in weights]

@@ -5,7 +5,26 @@ import tracemalloc
 
 import pytest
 
+import orbk3
 from orbk3 import polyring
+
+
+@pytest.fixture(scope="session")
+def exported_callables() -> dict:
+    """name -> callable: every callable orbk3 exports other than an exception class, and
+    the classmethods of its exported classes (their alternative constructors) as `Class.name`."""
+    out = {}
+    for name, value in vars(orbk3).items():
+        if name.startswith("_") or not callable(value):
+            continue
+        if isinstance(value, type) and issubclass(value, BaseException):
+            continue
+        out[name] = value
+        if isinstance(value, type):
+            for attr, raw in vars(value).items():
+                if isinstance(raw, classmethod):
+                    out[f"{name}.{attr}"] = getattr(value, attr)
+    return out
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 """Each rule is checked where its data is built: raises that no other test reaches,
-integer fields, the group axioms, Hilbert-polynomial integrality and the hash contract."""
+integer and exact-coefficient slots, the group axioms, Hilbert-polynomial integrality and
+the hash contract."""
 
+import inspect
 import itertools
 import json
+import re
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +21,7 @@ from orbk3.cyclotomic import (
     cyclotomic_polynomial,
     parse_cyclotomic,
     root_of_unity,
+    sesquilinear_sum,
     sum_inverse_one_minus_cos,
 )
 from orbk3.groups import (
@@ -29,7 +35,13 @@ from orbk3.groups import (
     trivial_character,
 )
 from orbk3.hilbert import HilbClassMu2, HilbertError, ade_form, dim_ade, enumerate_mu2
-from orbk3.hrr import OrbifoldMukaiVector, SectorMismatchError, orbifold_mukai_pairing, tangent_bundle_class
+from orbk3.hrr import (
+    EquivariantClass,
+    OrbifoldMukaiVector,
+    SectorMismatchError,
+    orbifold_mukai_pairing,
+    tangent_bundle_class,
+)
 from orbk3.inertia import (
     K3GModel,
     ModelError,
@@ -48,7 +60,7 @@ from orbk3.lattice import (
     poly_leq_eventually,
     reduced_hilbert_polynomial,
 )
-from orbk3.polyring import QuotientRing
+from orbk3.polyring import QuotientRing, QuotientRingElement
 from orbk3.toystacks import (
     GroupRingElement,
     ToyStackError,
@@ -70,109 +82,124 @@ def _stabilizer_without_element():
     K3GModel(model.group, [SectorEntry(0, 1, 4, 1, 1)], model.lattice, validate=False)
 
 
-# Each call raises the exception type next to it.
-RAISES = {
-    "cyclotomic-polynomial-0": (ValueError, lambda: cyclotomic_polynomial(0)),
-    "field-order-0": (ValueError, lambda: Cyclotomic(0, ())),
-    "embed-3-into-4": (AmbientFieldError, lambda: root_of_unity(3).embed(4)),
-    "root-of-unity-0": (ValueError, lambda: root_of_unity(0)),
-    "trig-sum-1": (ValueError, lambda: sum_inverse_one_minus_cos(1)),
-    "parse-variable-y": (ValueError, lambda: parse_cyclotomic("c[4]: 1*y")),
-    "parse-degree-too-high": (ValueError, lambda: parse_cyclotomic("c[4]: 1*z^2")),
-    "group-empty": (GroupError, lambda: FiniteGroup([])),
-    "group-label-count": (GroupError, lambda: FiniteGroup([[0]], ["a", "b"])),
-    "cyclic-group-0": (GroupError, lambda: cyclic_group(0)),
-    "character-length": (GroupError, lambda: Character(cyclic_group(2), [1])),
-    "inner-product-two-groups": (
+# Each call raises the exception type next to it.  Rows are (key, row) pairs, not a dict
+# literal, so that a repeated key fails `test_raises_keys_are_unique` instead of dropping a row.
+RAISES_ROWS = (
+    ("cyclotomic-polynomial-0", (ValueError, lambda: cyclotomic_polynomial(0))),
+    ("field-order-0", (ValueError, lambda: Cyclotomic(0, ()))),
+    ("embed-3-into-4", (AmbientFieldError, lambda: root_of_unity(3).embed(4))),
+    ("root-of-unity-0", (ValueError, lambda: root_of_unity(0))),
+    ("trig-sum-1", (ValueError, lambda: sum_inverse_one_minus_cos(1))),
+    ("parse-variable-y", (ValueError, lambda: parse_cyclotomic("c[4]: 1*y"))),
+    ("parse-degree-too-high", (ValueError, lambda: parse_cyclotomic("c[4]: 1*z^2"))),
+    ("group-empty", (GroupError, lambda: FiniteGroup([]))),
+    ("group-label-count", (GroupError, lambda: FiniteGroup([[0]], ["a", "b"]))),
+    ("cyclic-group-0", (GroupError, lambda: cyclic_group(0))),
+    ("character-length", (GroupError, lambda: Character(cyclic_group(2), [1]))),
+    ("inner-product-two-groups", (
         GroupError,
         lambda: char_inner_product(trivial_character(cyclic_group(2)), trivial_character(cyclic_group(3))),
-    ),
-    "abelian-table-of-s3": (GroupError, lambda: abelian_character_table(symmetric_group_s3())),
-    "ade-pair-length": (HilbertError, lambda: ade_form("A", 2).pair((1,), (1, 0))),
-    "ade-rank-0": (HilbertError, lambda: ade_form("A", 0)),
-    "pairing-short-vector": (
+    )),
+    ("abelian-table-of-s3", (GroupError, lambda: abelian_character_table(symmetric_group_s3()))),
+    ("ade-pair-length", (HilbertError, lambda: ade_form("A", 2).pair((1,), (1, 0)))),
+    ("ade-rank-0", (HilbertError, lambda: ade_form("A", 0))),
+    ("pairing-short-vector", (
         SectorMismatchError,
         lambda: orbifold_mukai_pairing(
             preset_cyclic(2),
             OrbifoldMukaiVector(MukaiVector(1, (0,), 1), ()),
             OrbifoldMukaiVector(MukaiVector(1, (0,), 1), ()),
         ),
-    ),
-    "closed-form-10": (ModelError, lambda: fixed_points_closed_form(10)),  # 4/3
-    "stabilizer-not-dividing": (ModelError, _stabilizer_not_dividing_order),
-    "stabilizer-without-element": (ModelError, _stabilizer_without_element),
-    "ample-length": (LatticeError, lambda: PicardLattice([[2]], [1, 0])),
-    "intersect-length": (LatticeError, lambda: fermat_quotient_lattice().intersect((1, 0), (1,))),
+    )),
+    ("closed-form-10", (ModelError, lambda: fixed_points_closed_form(10))),  # 4/3
+    ("stabilizer-not-dividing", (ModelError, _stabilizer_not_dividing_order)),
+    ("stabilizer-without-element", (ModelError, _stabilizer_without_element)),
+    ("ample-length", (LatticeError, lambda: PicardLattice([[2]], [1, 0]))),
+    ("intersect-length", (LatticeError, lambda: fermat_quotient_lattice().intersect((1, 0), (1,)))),
     # a JSON object or string is not a matrix, a row or a class
-    "gram-object": (LatticeError, lambda: PicardLattice({}, ())),
-    "gram-row-string": (LatticeError, lambda: PicardLattice(["2"], [1])),
-    "ample-is-a-string": (LatticeError, lambda: PicardLattice([[2]], "1")),
-    "declared-rank": (LatticeError, lambda: PicardLattice.from_json({"rank": 2, "gram": [[2]], "ample": [1]})),
-    "constant-modulus": (ValueError, lambda: QuotientRing([1])),
-    "group-ring-rank-0": (ToyStackError, lambda: GroupRingElement(0, ())),
-    "group-ring-monomial-rank-0": (ToyStackError, lambda: GroupRingElement.monomial(0, 1)),
-    "weighted-lengths": (ToyStackError, lambda: weighted_inner_product((1,), (1, 2))),
-    "coefficient-pairing-ranks": (
+    ("gram-object", (LatticeError, lambda: PicardLattice({}, ()))),
+    ("gram-row-string", (LatticeError, lambda: PicardLattice(["2"], [1]))),
+    ("ample-is-a-string", (LatticeError, lambda: PicardLattice([[2]], "1"))),
+    ("declared-rank", (
+        LatticeError,
+        lambda: PicardLattice.from_json({"rank": 2, "gram": [[2]], "ample": [1]}),
+    )),
+    ("constant-modulus", (ValueError, lambda: QuotientRing([1]))),
+    ("group-ring-rank-0", (ToyStackError, lambda: GroupRingElement(0, ()))),
+    ("group-ring-monomial-rank-0", (ToyStackError, lambda: GroupRingElement.monomial(0, 1))),
+    ("weighted-lengths", (ToyStackError, lambda: weighted_inner_product((1,), (1, 2)))),
+    ("coefficient-pairing-ranks", (
         ToyStackError,
         lambda: coefficient_pairing(GroupRingElement(2, (1,)), GroupRingElement(3, (1,))),
-    ),
+    )),
     # integer fields reject what int() would truncate or parse
-    "mukai-float": (TypeError, lambda: MukaiVector(1.5, (), 0)),
-    "mukai-string-c1": (TypeError, lambda: MukaiVector(1, "12", 0)),
-    "sector-float": (TypeError, lambda: SectorEntry(0, 2, 2, 1, 1.9)),
-    "cayley-float": (TypeError, lambda: FiniteGroup([[0.0]])),
-    "gram-float": (TypeError, lambda: PicardLattice([[2.9]], [1])),
-    "ample-string": (TypeError, lambda: PicardLattice([[2]], ["1"])),
-    "hilb-class-float": (TypeError, lambda: HilbClassMu2(1.0, (0,) * 8)),
-    "ade-pair-float": (TypeError, lambda: ade_form("A", 1).pair((0.5,), (1,))),
-    "dim-ade-float": (TypeError, lambda: dim_ade(1.5, [(1,)], [ade_form("A", 1)])),
-    "intersect-float": (TypeError, lambda: fermat_quotient_lattice().intersect((0.5,), (1,))),
-    "intersect-float-rank-2": (TypeError, lambda: elliptic_k3_lattice().intersect([1.5, 0], [1, 0])),
-    "degree-float": (TypeError, lambda: elliptic_k3_lattice().degree([1.5, 0])),
+    ("mukai-float", (TypeError, lambda: MukaiVector(1.5, (), 0))),
+    ("mukai-string-c1", (TypeError, lambda: MukaiVector(1, "12", 0))),
+    ("sector-float", (TypeError, lambda: SectorEntry(0, 2, 2, 1, 1.9))),
+    ("cayley-float", (TypeError, lambda: FiniteGroup([[0.0]]))),
+    ("gram-float", (TypeError, lambda: PicardLattice([[2.9]], [1]))),
+    ("ample-string", (TypeError, lambda: PicardLattice([[2]], ["1"]))),
+    ("hilb-class-float", (TypeError, lambda: HilbClassMu2(1.0, (0,) * 8))),
+    ("ade-pair-float", (TypeError, lambda: ade_form("A", 1).pair((0.5,), (1,)))),
+    ("dim-ade-float", (TypeError, lambda: dim_ade(1.5, [(1,)], [ade_form("A", 1)]))),
+    ("intersect-float", (TypeError, lambda: fermat_quotient_lattice().intersect((0.5,), (1,)))),
+    ("intersect-float-rank-2", (TypeError, lambda: elliptic_k3_lattice().intersect([1.5, 0], [1, 0]))),
+    ("degree-float", (TypeError, lambda: elliptic_k3_lattice().degree([1.5, 0]))),
     # ... and bool, a subclass of int that `operator.index` takes as 0 or 1
-    "mukai-bool": (TypeError, lambda: MukaiVector(True, (), 0)),
-    "mukai-bool-c1": (TypeError, lambda: MukaiVector(1, (False,), 0)),
-    "sector-bool": (TypeError, lambda: SectorEntry(0, 2, 2, 1, True)),
-    "cayley-bool": (TypeError, lambda: FiniteGroup([[0, True], [True, 0]])),
-    "gram-bool": (TypeError, lambda: PicardLattice([[2, False], [False, 2]], [1, 0])),
-    "ample-bool": (TypeError, lambda: PicardLattice([[2]], [True])),
-    "hilb-class-bool": (TypeError, lambda: HilbClassMu2(True, (0,) * 8)),
-    "hilb-class-bool-m": (TypeError, lambda: HilbClassMu2(1, (False,) * 8)),
-    "enumerate-bool": (TypeError, lambda: enumerate_mu2(True)),
-    "cyclotomic-order-bool": (TypeError, lambda: Cyclotomic(True, (3,))),
-    "cyclic-group-bool": (TypeError, lambda: cyclic_group(True)),
-    "group-ring-bool": (TypeError, lambda: GroupRingElement(True, (1,))),
-    "group-ring-monomial-bool": (TypeError, lambda: GroupRingElement.monomial(True, 0)),
-    "weighted-n-bool": (TypeError, lambda: weighted_inner_product((1,), (1,), n=True)),
-    "bg-moduli-bool": (TypeError, lambda: bg_moduli_count(True, 2)),
-    "closed-form-bool": (TypeError, lambda: fixed_points_closed_form(True)),
-    "ade-rank-bool": (TypeError, lambda: ade_form("A", True)),
-    "orbch-bool": (TypeError, lambda: orbch_p23(True)),
-    "root-of-unity-exponent-bool": (TypeError, lambda: root_of_unity(4, True)),
-    "root-of-unity-exponent-float": (TypeError, lambda: root_of_unity(4, 1.0)),
-    "root-of-unity-order-bool": (TypeError, lambda: root_of_unity(True)),
-    "mukai-scale-bool": (TypeError, lambda: MukaiVector(1, (0,), 0).scale(True)),
+    ("mukai-bool", (TypeError, lambda: MukaiVector(True, (), 0))),
+    ("mukai-bool-c1", (TypeError, lambda: MukaiVector(1, (False,), 0))),
+    ("sector-bool", (TypeError, lambda: SectorEntry(0, 2, 2, 1, True))),
+    ("cayley-bool", (TypeError, lambda: FiniteGroup([[0, True], [True, 0]]))),
+    ("gram-bool", (TypeError, lambda: PicardLattice([[2, False], [False, 2]], [1, 0]))),
+    ("ample-bool", (TypeError, lambda: PicardLattice([[2]], [True]))),
+    ("hilb-class-bool", (TypeError, lambda: HilbClassMu2(True, (0,) * 8))),
+    ("hilb-class-bool-m", (TypeError, lambda: HilbClassMu2(1, (False,) * 8))),
+    ("enumerate-bool", (TypeError, lambda: enumerate_mu2(True))),
+    ("cyclotomic-order-bool", (TypeError, lambda: Cyclotomic(True, (3,)))),
+    ("cyclic-group-bool", (TypeError, lambda: cyclic_group(True))),
+    ("group-ring-bool", (TypeError, lambda: GroupRingElement(True, (1,)))),
+    ("group-ring-monomial-bool", (TypeError, lambda: GroupRingElement.monomial(True, 0))),
+    ("weighted-n-bool", (TypeError, lambda: weighted_inner_product((1,), (1,), n=True))),
+    ("bg-moduli-bool", (TypeError, lambda: bg_moduli_count(True, 2))),
+    ("closed-form-bool", (TypeError, lambda: fixed_points_closed_form(True))),
+    ("ade-rank-bool", (TypeError, lambda: ade_form("A", True))),
+    ("orbch-bool", (TypeError, lambda: orbch_p23(True))),
+    ("root-of-unity-exponent-bool", (TypeError, lambda: root_of_unity(4, True))),
+    ("root-of-unity-exponent-float", (TypeError, lambda: root_of_unity(4, 1.0))),
+    ("root-of-unity-order-bool", (TypeError, lambda: root_of_unity(True))),
+    ("mukai-scale-bool", (TypeError, lambda: MukaiVector(1, (0,), 0).scale(True))),
     # exact coefficients are ints and Fractions: a float would round in, a bool count as 0 or 1
-    "leq-eventually-float": (TypeError, lambda: poly_leq_eventually((0.5,), (1,))),
-    "reduced-hilbert-bool": (TypeError, lambda: reduced_hilbert_polynomial((True, 2))),
-    "reduced-hilbert-zeros": (LatticeError, lambda: reduced_hilbert_polynomial((0, 0))),
-    "group-ring-monomial-exponent-bool": (TypeError, lambda: GroupRingElement.monomial(4, True)),
-    "embed-bool": (TypeError, lambda: Cyclotomic.one().embed(True)),
+    ("leq-eventually-float", (TypeError, lambda: poly_leq_eventually((0.5,), (1,)))),
+    ("reduced-hilbert-bool", (TypeError, lambda: reduced_hilbert_polynomial((True, 2)))),
+    ("reduced-hilbert-zeros", (LatticeError, lambda: reduced_hilbert_polynomial((0, 0)))),
+    ("group-ring-monomial-exponent-bool", (TypeError, lambda: GroupRingElement.monomial(4, True))),
+    ("embed-bool", (TypeError, lambda: Cyclotomic.one().embed(True))),
     # after Phi_1 is cached: an untyped cache would answer True with it
-    "cyclotomic-polynomial-bool": (TypeError, lambda: cyclotomic_polynomial(1) and cyclotomic_polynomial(True)),
-    "cayley-bool-json": (GroupError, lambda: FiniteGroup.from_json({"cayley": [[False]]})),
+    ("cyclotomic-polynomial-bool", (
+        TypeError,
+        lambda: cyclotomic_polynomial(1) and cyclotomic_polynomial(True),
+    )),
+    ("cayley-bool-json", (GroupError, lambda: FiniteGroup.from_json({"cayley": [[False]]}))),
     # a declared size is an int too, not just equal to one
-    "declared-order-float": (GroupError, lambda: FiniteGroup.from_json({"order": 1.0, "cayley": [[0]]})),
-    "declared-order-bool": (GroupError, lambda: FiniteGroup.from_json({"order": True, "cayley": [[0]]})),
-    "declared-rank-float": (
+    ("declared-order-float", (GroupError, lambda: FiniteGroup.from_json({"order": 1.0, "cayley": [[0]]}))),
+    ("declared-order-bool", (GroupError, lambda: FiniteGroup.from_json({"order": True, "cayley": [[0]]}))),
+    ("declared-rank-float", (
         LatticeError,
         lambda: PicardLattice.from_json({"rank": 1.0, "gram": [[2]], "ample": [1]}),
-    ),
-    "declared-rank-bool": (
+    )),
+    ("declared-rank-bool", (
         LatticeError,
         lambda: PicardLattice.from_json({"rank": True, "gram": [[2]], "ample": [1]}),
-    ),
-}
+    )),
+)
+
+
+RAISES = dict(RAISES_ROWS)
+
+
+def test_raises_keys_are_unique():
+    keys = Counter(key for key, _ in RAISES_ROWS)
+    assert [key for key, count in keys.items() if count > 1] == []
 
 
 @pytest.mark.parametrize("case", sorted(RAISES))
@@ -180,6 +207,108 @@ def test_raises(case):
     exc_type, call = RAISES[case]
     with pytest.raises(exc_type):
         call()
+
+
+# The parameter annotations that mark an integer slot, each with how deep its integers sit:
+# an int, a sequence of them, or rows of them.  `Coeffs` is a sequence of exact
+# coefficients, ints and Fractions, which bool, float and str are not either.
+INTEGER_SLOTS = {
+    "int": 0, "int | None": 0, "tuple[int, ...]": 1, "Coeffs": 1, "tuple[tuple[int, ...], ...]": 2,
+}
+
+# One valid call, by keyword, of every exported callable with an integer slot.
+VALID_CALLS = {
+    "ADEForm": {"kind": "A", "rank": 1, "matrix": ((-2,),)},
+    "Cyclotomic": {"L": 4, "coeffs": (1, 2)},
+    "Cyclotomic.one": {"L": 4},
+    "Cyclotomic.zero": {"L": 4},
+    "GroupRingElement": {"n": 3, "coeffs": (1, 2)},
+    "GroupRingElement.monomial": {"n": 3, "k": 1},
+    "HilbClassMu2": {"n": 1, "m": (0,) * 8},
+    "MukaiVector": {"r": 1, "c1": (0,), "s": 1},
+    "SectorEntry": {"class_index": 0, "stabilizer_order": 2, "eig_order": 2, "eig_exp": 1, "multiplicity": 1},
+    "ade_form": {"kind": "A", "rank": 2},
+    "bg_moduli_count": {"n": 2, "d": 3},
+    "cyclic_group": {"n": 3},
+    "cyclotomic_polynomial": {"n": 6},
+    "dim_ade": {"n": 1, "divisors": [(1,)], "forms": [ade_form("A", 1)]},
+    "enumerate_mu2": {"length": 2},
+    "fixed_points_closed_form": {"n": 4},
+    "orbch_p23": {"k": 2},
+    "poly_leq_eventually": {"p": (1, 2), "q": (0, 3)},
+    "preset_cyclic": {"n": 2},
+    "reduced_hilbert_polynomial": {"p": (2, 4)},
+    "root_of_unity": {"order": 4, "exponent": 1},
+    "solve_fixed_points_cyclic": {"n": 2},
+    "sum_inverse_one_minus_cos": {"n": 4},
+    "weighted_inner_product": {"a": (1, 2), "b": (2, 1), "n": 2},
+}
+
+
+def _with_first(value, depth: int, bad):
+    """value with bad in place of its first integer, which sits depth sequences deep."""
+    return bad if depth == 0 else (_with_first(value[0], depth - 1, bad),) + tuple(value[1:])
+
+
+def test_integer_slots_reject_bool_float_and_str(exported_callables):
+    # the valid call with True, 2.0 or "2" in one integer slot (in its first element, for
+    # a sequence) raises TypeError, not a domain error and not a result
+    slotted, leaks = set(), []
+    for name, f in exported_callables.items():
+        slots = {}
+        for p in inspect.signature(f).parameters.values():
+            if p.annotation in INTEGER_SLOTS:
+                slots[p.name] = INTEGER_SLOTS[p.annotation]
+            else:  # an integer annotation of another spelling would be skipped silently
+                assert not re.search(r"\bint\b|Coeffs", str(p.annotation)), (name, p)
+        if not slots:
+            continue
+        slotted.add(name)
+        assert name in VALID_CALLS, f"{name} has an integer slot and no valid call"
+        kwargs = VALID_CALLS[name]
+        f(**kwargs)
+        for param, depth in slots.items():
+            for bad in (True, 2.0, "2"):
+                try:
+                    f(**{**kwargs, param: _with_first(kwargs[param], depth, bad)})
+                except TypeError:
+                    continue
+                except Exception as exc:
+                    leaks.append(f"{name} with {param} {bad!r}: {type(exc).__name__}")
+                else:
+                    leaks.append(f"{name} with {param} {bad!r}: no error")
+    assert not leaks, "\n".join(leaks)
+    assert slotted == set(VALID_CALLS)
+
+
+# Coefficient slots without an annotation: each takes one value that is not an int or a
+# Fraction, which `polyring.poly` rejects for all of them.
+COEFFICIENT_SLOTS = {
+    "cyclotomic": lambda c: Cyclotomic(4, (c, 1)),
+    "group-ring": lambda c: GroupRingElement(3, (c, 1)),
+    "quotient-ring": lambda c: QuotientRing((c, 1)),
+    "quotient-ring-element": lambda c: QuotientRingElement(QuotientRing((1, 0, 1)), (c, 1)),
+    "from-rational": lambda c: Cyclotomic.from_rational(c),
+    "coerce": lambda c: Cyclotomic.coerce(c),
+    "character": lambda c: Character(cyclic_group(2), (1, c)),
+    "equivariant-class": lambda c: EquivariantClass(MukaiVector(1, (0,), 1), (c,)),
+    "orbifold-mukai-vector": lambda c: OrbifoldMukaiVector(MukaiVector(1, (0,), 1), (c,)),
+    "weighted-inner-product": lambda c: weighted_inner_product((1, c), (1, 1)),
+    "sesquilinear-sum": lambda c: sesquilinear_sum([(1, 1, c)]),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1/2", Decimal("0.5")], ids=["float", "bool", "str", "decimal"])
+@pytest.mark.parametrize("slot", sorted(COEFFICIENT_SLOTS))
+def test_coefficients_are_ints_and_fractions(slot, value):
+    with pytest.raises(TypeError):
+        COEFFICIENT_SLOTS[slot](value)
+
+
+def test_bool_is_not_a_constant():
+    with pytest.raises(TypeError):
+        Cyclotomic.one(2) * True
+    assert (Cyclotomic.one(2) == True) is False
 
 
 def _class_file(key, value):

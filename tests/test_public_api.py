@@ -109,7 +109,7 @@ SIGNATURES = {
     "parse_cyclotomic": "(text: 'str') -> 'Cyclotomic'",
     "parseval_check": "(f: 'GroupRingElement', g: 'GroupRingElement') -> 'bool'",
     "poly_leq_eventually": "(p: 'Coeffs', q: 'Coeffs') -> 'bool'",
-    "preset_cyclic": "(n: 'int', lattice: 'PicardLattice | None' = None) -> 'K3GModel'",
+    "preset_cyclic": "(n: 'int') -> 'K3GModel'",
     "reduced_hilbert_polynomial": "(p: 'Coeffs') -> 'Coeffs'",
     "regular_character": "(g: 'FiniteGroup') -> 'Character'",
     "root_of_unity": "(order: 'int', exponent: 'int' = 1) -> 'Cyclotomic'",
@@ -119,7 +119,7 @@ SIGNATURES = {
     "symmetric_group_s3": "() -> 'FiniteGroup'",
     "tangent_bundle_class": "(model: 'K3GModel') -> 'EquivariantClass'",
     "trivial_character": "(g: 'FiniteGroup') -> 'Character'",
-    "trivial_model": "(lattice: 'PicardLattice | None' = None) -> 'K3GModel'",
+    "trivial_model": "() -> 'K3GModel'",
     "validate_identity": "(model: 'K3GModel') -> 'Fraction'",
     "weighted_inner_product": "(a, b, n: 'int | None' = None) -> 'Cyclotomic'",
     "wps_euler_class_tangent": "(weights) -> 'QuotientRingElement'",
@@ -127,21 +127,8 @@ SIGNATURES = {
 }
 
 
-def _signatures():
-    for name, value in vars(orbk3).items():
-        if name.startswith("_") or not callable(value):
-            continue
-        if isinstance(value, type) and issubclass(value, BaseException):
-            continue
-        yield name, str(inspect.signature(value))
-        if isinstance(value, type):
-            for attr, raw in vars(value).items():
-                if isinstance(raw, classmethod):
-                    yield f"{name}.{attr}", str(inspect.signature(getattr(value, attr)))
-
-
-def test_public_signatures():
-    assert dict(_signatures()) == SIGNATURES
+def test_public_signatures(exported_callables):
+    assert {name: str(inspect.signature(f)) for name, f in exported_callables.items()} == SIGNATURES
 
 
 # The public names in vars() of each exported class: its methods, properties and class

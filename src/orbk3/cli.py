@@ -60,9 +60,9 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_INTERNAL = 4
 
-# Size limits on integer arguments, so that every accepted argv has a bounded cost.  Wall
-# time at the limits on one core of a 2-vCPU x86-64 machine (Python 3.11): parseval 1.0 s,
-# hilb-enum 0.8 s; wps-euler 1.2 s on 8,8,8,8,8,8,8,8 but 12 s on 5,6,7,8,9,9,10,10.
+# Size limits on integer arguments, so that every accepted argv has a bounded cost.  Whole-process
+# `python -m orbk3.cli` wall time at the limits (2-vCPU x86-64, Python 3.11.7): parseval 0.5-0.7 s,
+# hilb-enum 0.7-0.8 s; wps-euler 0.3-0.4 s on 8,8,8,8,8,8,8,8 and 1.9-2.8 s on 5,6,7,8,9,9,10,10.
 PARSEVAL_MAX_N = 12
 PARSEVAL_MAX_TRIALS = 100
 HILB_MAX_LENGTH = 6

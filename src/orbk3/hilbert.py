@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
 
-from .hrr import EquivariantClass, OrbifoldMukaiVector, orbifold_mukai_pairing
+from .hrr import OrbifoldMukaiVector, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
 from .lattice import MukaiVector
 from .polyring import integer, integers
@@ -51,7 +51,8 @@ def length_mu2(c: HilbClassMu2) -> int:
 
 
 def omv_of_class_mu2(c: HilbClassMu2) -> OrbifoldMukaiVector:
-    """v~(n, m) = (1, 0, 1 - l, 1 + 4 m_1, ..., 1 + 4 m_8).
+    """The class of (n, m), its own orbifold Mukai vector:
+    v~(n, m) = (1, 0, 1 - l, 1 + 4 m_1, ..., 1 + 4 m_8).
 
     Only + (not the 1 - 4 m_i that subtracting basis vectors suggests) fits
     the quadratic dimension formula.
@@ -73,11 +74,6 @@ def dim_mu2(c: HilbClassMu2) -> int:
             f"dimension mismatch for {c}: quadratic form {direct}, pairing {via_pairing}"
         )
     return direct
-
-
-def equivariant_class_mu2(c: HilbClassMu2) -> EquivariantClass:
-    omv = omv_of_class_mu2(c)
-    return EquivariantClass(omv.global_part, omv.twisted)
 
 
 @dataclass(frozen=True)
@@ -145,6 +141,8 @@ class ADEForm:
     def __post_init__(self):
         object.__setattr__(self, "rank", integer(self.rank))
         object.__setattr__(self, "matrix", tuple(integers(row) for row in self.matrix))
+        if self.matrix != _cartan_matrix(self.kind, self.rank):
+            raise HilbertError(f"matrix is not the negative Cartan matrix of {self.kind}{self.rank}")
 
     def pair(self, a, b) -> int:
         a, b = integers(a), integers(b)
@@ -174,14 +172,18 @@ def _ade_edges(kind: str, rank: int) -> list[tuple[int, int]]:
     raise HilbertError(f"unknown ADE type {kind!r}")
 
 
-def ade_form(kind: str, rank: int) -> ADEForm:
+def _cartan_matrix(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """The intersection form: -2 on the diagonal, +1 for adjacent nodes."""
-    rank = integer(rank)
-    edges = _ade_edges(kind, rank)
     mat = [[-2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j in edges:
+    for i, j in _ade_edges(kind, rank):
         mat[i][j] = mat[j][i] = 1
-    return ADEForm(kind, rank, tuple(tuple(row) for row in mat))
+    return tuple(tuple(row) for row in mat)
+
+
+def ade_form(kind: str, rank: int) -> ADEForm:
+    """The ADE form of the given type and rank."""
+    rank = integer(rank)
+    return ADEForm(kind, rank, _cartan_matrix(kind, rank))
 
 
 def dim_ade(n: int, divisors, forms) -> int:

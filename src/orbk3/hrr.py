@@ -1,6 +1,9 @@
 """Orbifold Mukai vectors and the orbifold Mukai/Euler pairing for [K3/G].
 
-The pairing is
+Every twisted sector of [K3/G] is an isolated fixed point, so the twisted part
+of v~(E) is just the local character values of E: a class on [K3/G] is its own
+orbifold Mukai vector, and `OrbifoldMukaiVector` is another name for
+`EquivariantClass`.  The pairing is
 
     <v~, w~> = <v, w>_X / |G|
              + (1/2) sum over orbit families of
@@ -59,40 +62,31 @@ class EquivariantClass:
         return cls(MukaiVector.from_json(data["mukai"]), tuple(twisted))
 
 
-@dataclass(frozen=True)
-class OrbifoldMukaiVector:
-    """(v, (v_ij)): the global Mukai vector plus twisted-sector components."""
-
-    global_part: MukaiVector
-    twisted: tuple[Cyclotomic, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "twisted", tuple(Cyclotomic.coerce(v) for v in self.twisted))
+# v~(E) = (v(E), chi_E(g_i)): the twisted part is the local character values themselves
+OrbifoldMukaiVector = EquivariantClass
 
 
 def orbifold_mukai_vector(model: K3GModel, x: EquivariantClass) -> OrbifoldMukaiVector:
+    """x itself, once its twisted entries match the sectors of the model."""
     if len(x.local_chars) != len(model.sectors):
         raise SectorMismatchError(
             f"class has {len(x.local_chars)} twisted entries, model has {len(model.sectors)} sectors"
         )
-    return OrbifoldMukaiVector(x.mukai, x.local_chars)
+    return x
 
 
 def orbifold_mukai_pairing(
     model: K3GModel, v: OrbifoldMukaiVector, w: OrbifoldMukaiVector
 ) -> Fraction:
-    if len(v.twisted) != len(model.sectors) or len(w.twisted) != len(model.sectors):
-        raise SectorMismatchError("orbifold Mukai vectors do not match the model")
-    twisted = sesquilinear_sum(zip(model.sector_weights(), v.twisted, w.twisted))
-    untwisted = Fraction(mukai_pairing(model.lattice, v.global_part, w.global_part), model.group.order)
+    v, w = orbifold_mukai_vector(model, v), orbifold_mukai_vector(model, w)
+    twisted = sesquilinear_sum(zip(model.sector_weights(), v.local_chars, w.local_chars))
+    untwisted = Fraction(mukai_pairing(model.lattice, v.mukai, w.mukai), model.group.order)
     return (twisted * Fraction(1, 2) + untwisted).as_rational()
 
 
 def euler_pairing(model: K3GModel, x: EquivariantClass, y: EquivariantClass) -> Fraction:
     """chi(x, y) = <v~(x), v~(y)>; an integer for genuine sheaf classes."""
-    return orbifold_mukai_pairing(
-        model, orbifold_mukai_vector(model, x), orbifold_mukai_vector(model, y)
-    )
+    return orbifold_mukai_pairing(model, x, y)
 
 
 def moduli_dimension(model: K3GModel, x: EquivariantClass) -> Fraction:

@@ -34,7 +34,7 @@ from orbk3.groups import (
     symmetric_group_s3,
     trivial_character,
 )
-from orbk3.hilbert import HilbClassMu2, HilbertError, ade_form, dim_ade, enumerate_mu2
+from orbk3.hilbert import ADEForm, HilbClassMu2, HilbertError, ade_form, dim_ade, enumerate_mu2
 from orbk3.hrr import (
     EquivariantClass,
     OrbifoldMukaiVector,
@@ -103,6 +103,12 @@ RAISES_ROWS = (
     ("abelian-table-of-s3", (GroupError, lambda: abelian_character_table(symmetric_group_s3()))),
     ("ade-pair-length", (HilbertError, lambda: ade_form("A", 2).pair((1,), (1, 0)))),
     ("ade-rank-0", (HilbertError, lambda: ade_form("A", 0))),
+    # an ADEForm is the negative Cartan matrix of its (kind, rank), and nothing else
+    ("ade-form-matrix-too-small", (HilbertError, lambda: ADEForm("A", 2, ((-2,),)).pair((1, 1), (1, 1)))),
+    ("ade-form-matrix-empty", (HilbertError, lambda: ADEForm("A", 1, ()).pair((1,), (1,)))),
+    ("ade-form-unknown-kind", (HilbertError, lambda: ADEForm("Q", 1, ((-2,),)))),
+    ("ade-form-negative-rank", (HilbertError, lambda: ADEForm("A", -1, ()))),
+    ("ade-form-wrong-entry", (HilbertError, lambda: ADEForm("A", 1, ((2,),)))),
     ("pairing-short-vector", (
         SectorMismatchError,
         lambda: orbifold_mukai_pairing(

@@ -11,7 +11,6 @@ from orbk3.hilbert import (
     dim_ade,
     dim_mu2,
     enumerate_mu2,
-    equivariant_class_mu2,
     length_mu2,
     mu2_model,
     omv_of_class_mu2,
@@ -32,19 +31,19 @@ def test_length():
 def test_omv_worked_examples():
     c = HilbClassMu2(0, (0,) * 8)
     omv = omv_of_class_mu2(c)
-    assert (omv.global_part.r, omv.global_part.s) == (1, 1)
-    assert all(v == 1 for v in omv.twisted)
+    assert (omv.mukai.r, omv.mukai.s) == (1, 1)
+    assert all(v == 1 for v in omv.local_chars)
 
     c = HilbClassMu2(1, (0,) * 8)
     omv = omv_of_class_mu2(c)
-    assert omv.global_part.s == -1
-    assert all(v == 1 for v in omv.twisted)
+    assert omv.mukai.s == -1
+    assert all(v == 1 for v in omv.local_chars)
 
     c = HilbClassMu2(1, (-1,) + (0,) * 7)
     omv = omv_of_class_mu2(c)
-    assert omv.global_part.s == 0  # l = 2 - 1 = 1, s = 1 - l
-    assert omv.twisted[0] == -3
-    assert all(v == 1 for v in omv.twisted[1:])
+    assert omv.mukai.s == 0  # l = 2 - 1 = 1, s = 1 - l
+    assert omv.local_chars[0] == -3
+    assert all(v == 1 for v in omv.local_chars[1:])
 
 
 def test_dim_worked_examples():
@@ -98,7 +97,7 @@ def test_dimension_cross_check(n, m):
 def test_dim_agrees_with_moduli_dimension(n, m):
     c = HilbClassMu2(n, tuple(m))
     model = mu2_model()
-    cls = equivariant_class_mu2(c)
+    cls = omv_of_class_mu2(c)
     assert moduli_dimension(model, cls) == dim_mu2(c)
     assert euler_pairing(model, cls, cls) == 2 - dim_mu2(c)
 

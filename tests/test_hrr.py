@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbk3
+
 from orbk3.cyclotomic import (
     AmbientFieldError,
     Cyclotomic,
@@ -69,6 +71,27 @@ def test_sector_mismatch():
     short = EquivariantClass(MukaiVector(1, model.lattice.zero_class(), 1), (1, 1))
     with pytest.raises(SectorMismatchError):
         euler_pairing(model, short, short)
+
+
+@pytest.mark.parametrize("entries", [7, 9], ids=["too-few", "too-many"])
+def test_one_sector_count_error(entries):
+    # a class on [K3/G] is its own orbifold Mukai vector, checked against the model in one
+    # place: every entry point raises the same error, naming both counts
+    assert orbk3.OrbifoldMukaiVector is orbk3.EquivariantClass
+    model = preset_cyclic(2)
+    ox = structure_sheaf_class(model)
+    x = EquivariantClass(ox.mukai, (1,) * entries)
+    calls = [
+        lambda: orbifold_mukai_vector(model, x),
+        lambda: orbifold_mukai_pairing(model, ox, x),
+        lambda: orbifold_mukai_pairing(model, x, ox),
+        lambda: euler_pairing(model, x, ox),
+        lambda: moduli_dimension(model, x),
+    ]
+    for call in calls:
+        with pytest.raises(SectorMismatchError) as got:
+            call()
+        assert str(got.value) == f"class has {entries} twisted entries, model has 8 sectors"
 
 
 def _random_class(model, data):
@@ -163,18 +186,18 @@ def test_orbifold_mukai_vector_shape():
     model = preset_cyclic(2)
     ox = structure_sheaf_class(model)
     omv = orbifold_mukai_vector(model, ox)
-    assert omv.global_part == ox.mukai
-    assert len(omv.twisted) == 8
+    assert omv.mukai == ox.mukai
+    assert len(omv.local_chars) == 8
     assert orbifold_mukai_pairing(model, omv, omv) == 2
 
 
 def _pairing_term_by_term(model, v, w):
     # the reference: one conjugate, three ring multiplies and one reduction per sector
     total = Cyclotomic.from_rational(
-        Fraction(mukai_pairing(model.lattice, v.global_part, w.global_part), model.group.order)
+        Fraction(mukai_pairing(model.lattice, v.mukai, w.mukai), model.group.order)
     )
     half = Fraction(1, 2)
-    for weight, vij, wij in zip(model.sector_weights(), v.twisted, w.twisted):
+    for weight, vij, wij in zip(model.sector_weights(), v.local_chars, w.local_chars):
         total = total + vij.conjugate() * wij * weight * half
     return total.as_rational()
 

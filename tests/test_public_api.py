@@ -62,7 +62,8 @@ SIGNATURES = {
     "K3GModel.from_json": '(data: \'dict\', validate: \'bool\' = True) -> "\'K3GModel\'"',
     "MukaiVector": "(r: 'int', c1: 'tuple[int, ...]', s: 'int') -> None",
     "MukaiVector.from_json": '(data: \'dict\') -> "\'MukaiVector\'"',
-    "OrbifoldMukaiVector": "(global_part: 'MukaiVector', twisted: 'tuple[Cyclotomic, ...]') -> None",
+    "OrbifoldMukaiVector": "(mukai: 'MukaiVector', local_chars: 'tuple[Cyclotomic, ...]') -> None",
+    "OrbifoldMukaiVector.from_json": '(data: \'dict\') -> "\'EquivariantClass\'"',
     "PicardLattice": '(gram, ample)',
     "PicardLattice.from_json": '(data: \'dict\') -> "\'PicardLattice\'"',
     "QuotientRing": "(modulus: 'Iterable')",
@@ -152,7 +153,7 @@ METHODS = {
     "HilbClassMu2": set(),
     "K3GModel": {"from_json", "sector_weights", "to_json"},
     "MukaiVector": {"dual", "from_json", "is_primitive", "scale", "to_json"},
-    "OrbifoldMukaiVector": set(),
+    "OrbifoldMukaiVector": {"from_json", "to_json"},
     "PicardLattice": {"degree", "from_json", "h_squared", "intersect", "to_json", "zero_class"},
     "QuotientRing": {"one", "reduce", "residue", "x", "zero"},
     "QuotientRingElement": {"coeffs", "inverse", "is_zero", "ring"},

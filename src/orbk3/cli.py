@@ -62,7 +62,7 @@ EXIT_INTERNAL = 4
 
 # Size limits on integer arguments, so that every accepted argv has a bounded cost.  Whole-process
 # `python -m orbk3.cli` wall time at the limits (2-vCPU x86-64, Python 3.11.7): parseval 0.5-0.7 s,
-# hilb-enum 0.7-0.8 s; wps-euler 0.3-0.4 s on 8,8,8,8,8,8,8,8 and 1.9-2.8 s on 5,6,7,8,9,9,10,10.
+# hilb-enum 0.7-0.9 s; wps-euler 0.2-0.3 s on 8,8,8,8,8,8,8,8 and 1.7-2.2 s on 5,6,7,8,9,9,10,10.
 PARSEVAL_MAX_N = 12
 PARSEVAL_MAX_TRIALS = 100
 HILB_MAX_LENGTH = 6

@@ -4,7 +4,9 @@ An element of Q(zeta_L) is a `QuotientRingElement` of Q[x]/Phi_L(x), where
 Phi_L is the L-th cyclotomic polynomial, so it shares the one residue
 arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
-is obtained by dividing x^L - 1 by Phi_d over the proper divisors d of L.
+and the powers of zeta_L are built in Z[x], each with one Fraction per distinct
+coefficient at the end: Phi_L from the primes of L, one exact division per prime,
+and zeta_L^k by the recurrence r <- x*r - r_top*Phi_L.
 What is particular to the field lives here: operands of different orders meet
 in Q(zeta_lcm) (bounded in `_common_order`); embedding and conjugation
 substitute a power of x and reduce, which, because x^L = 1 mod Phi_L, is one
@@ -35,10 +37,9 @@ from .polyring import (
     Coeffs,
     QuotientRing,
     QuotientRingElement,
+    _pseudo_divmod,
     format_poly,
     integer,
-    poly,
-    poly_divmod,
     poly_fold,
     poly_mul,
 )
@@ -46,15 +47,45 @@ from .polyring import (
 
 @lru_cache(maxsize=None, typed=True)  # typed: True is not a cached 1
 def cyclotomic_polynomial(n: int) -> Coeffs:
-    """Phi_n as an exact coefficient tuple."""
-    if integer(n) < 1:
+    """Phi_n as an exact coefficient tuple, built in Z[x] from the primes of n.
+
+    Phi_1 = x - 1, and Phi_mp(x) = Phi_m(x^p)/Phi_m(x) for a prime p not
+    dividing m: one exact division by a monic divisor per prime of n.  That
+    gives Phi_r for r the radical of n, and Phi_n(x) = Phi_r(x^(n/r)).
+    """
+    if (n := integer(n)) < 1:
         raise ValueError("n must be positive")
-    num = poly([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = poly_divmod(num, cyclotomic_polynomial(d))
-            assert not rem
-    return num
+    phi, r = [-1, 1], 1
+    for p in _prime_factors(n):
+        phi, rem, scale = _pseudo_divmod(_substitute_power(phi, p), phi)
+        assert not rem and scale == 1
+        r *= p
+    return _as_fractions([_substitute_power(phi, n // r)])[0]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n, by trial division up to sqrt(n)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _substitute_power(P: list[int], e: int) -> list[int]:
+    """P(x^e) for an integer vector P."""
+    out = [0] * ((len(P) - 1) * e + 1)
+    out[::e] = P
+    return out
+
+
+def _as_fractions(rows: list[list[int]]) -> list[Coeffs]:
+    """Integer rows as Fraction tuples, one Fraction object per distinct value."""
+    frac = {c: Fraction(c) for c in set().union(*rows)}
+    return [tuple(map(frac.__getitem__, row)) for row in rows]
 
 
 def euler_phi(n: int) -> int:
@@ -72,11 +103,23 @@ def _field(L: int) -> QuotientRing:
 
 @lru_cache(maxsize=None)
 def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
-    """zeta_L^k for k = 0..L-1: each is the one before times x (a shift), reduced once."""
-    out = [Cyclotomic.one(L)]
+    """zeta_L^k for k = 0..L-1, as residues built in Z by r <- x*r - r_top*Phi_L.
+
+    Phi_L is monic, so the shift x*r is reduced by one multiple of Phi_L and
+    every residue stays an integer vector; the rows share their Fractions.
+    """
+    phi = [c.numerator for c in cyclotomic_polynomial(L)]
+    terms = [(j, b) for j, b in enumerate(phi[:-1]) if b]
+    row = [1] + [0] * (len(phi) - 2)
+    rows = [row]
     for _ in range(L - 1):
-        out.append(Cyclotomic(L, (0,) + out[-1].coeffs))
-    return tuple(out)
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            for j, b in terms:
+                row[j] -= top * b
+        rows.append(row)
+    one = Cyclotomic.one(L)
+    return tuple(map(one._new, _as_fractions(rows)))
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +150,9 @@ class AmbientFieldError(ValueError):
 
 # The largest field built without an explicit embed, so untrusted input has a bounded cost:
 # parsed `c[L]: ...` text and the lcm where orders meet (`_common_order`).  840 = lcm(2..8)
-# holds every field of a symplectic K3 model (orders <= 8).  Phi_840, the worst case, takes
-# 0.11 s on one core of a 2-vCPU x86-64 machine (Python 3.11.7), against 1 ms for c[24].
+# holds every field of a symplectic K3 model (orders <= 8).  Parsing into a new field is worst
+# for c[840]: 1.5 ms, Phi_840 itself 0.1 ms, on one core of a 2-vCPU x86-64 machine (Python
+# 3.11.7), against 0.5 ms for c[24].
 MAX_PARSED_FIELD_ORDER = 840
 
 

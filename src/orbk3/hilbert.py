@@ -144,7 +144,7 @@ class ADEForm:
         if self.matrix != _cartan_matrix(self.kind, self.rank):
             raise HilbertError(f"matrix is not the negative Cartan matrix of {self.kind}{self.rank}")
 
-    def pair(self, a, b) -> int:
+    def pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         a, b = integers(a), integers(b)
         if len(a) != self.rank or len(b) != self.rank:
             raise HilbertError("divisor vector length does not match the form rank")

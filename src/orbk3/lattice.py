@@ -61,13 +61,13 @@ class PicardLattice:
         if rank > 0 and self.intersect(h, h) <= 0:
             raise LatticeError("ample class must have positive self-intersection")
 
-    def intersect(self, a, b) -> int:
+    def intersect(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         a, b = integers(a), integers(b)
         if len(a) != self.rank or len(b) != self.rank:
             raise LatticeError("class length does not match lattice rank")
         return sum(a[i] * self.gram[i][j] * b[j] for i in range(self.rank) for j in range(self.rank))
 
-    def degree(self, a) -> int:
+    def degree(self, a: tuple[int, ...]) -> int:
         """(a . h) against the fixed polarization."""
         return self.intersect(a, self.ample)
 

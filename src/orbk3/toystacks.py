@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, prod
+from operator import mul
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
@@ -115,11 +117,16 @@ def _wps_factors(weights) -> tuple[QuotientRing, list[QuotientRingElement]]:
 
 
 def wps_euler_class_tangent(weights) -> QuotientRingElement:
-    """e^K of the tangent bundle: sum_i prod_{j != i} (1 - x^{-a_j})."""
+    """e^K of the tangent bundle: sum_i prod_{j != i} (1 - x^{-a_j}).
+
+    prod_{j != i} is a prefix product times a suffix product: 3n multiplies, not n^2.
+    """
     ring, factors = _wps_factors(weights)
-    total = ring.zero
-    for i in range(len(factors)):
-        total = total + prod(factors[:i] + factors[i + 1:], start=ring.one)
+    prefixes = list(accumulate(factors[:-1], mul, initial=ring.one))
+    total, suffix = ring.zero, ring.one
+    for prefix, factor in zip(reversed(prefixes), reversed(factors)):
+        total = total + prefix * suffix
+        suffix = suffix * factor
     return total
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbk3
 from orbk3.cli import main
 from orbk3.cyclotomic import (
     AmbientFieldError,
@@ -248,7 +249,52 @@ VALID_CALLS = {
     "solve_fixed_points_cyclic": {"n": 2},
     "sum_inverse_one_minus_cos": {"n": 4},
     "weighted_inner_product": {"a": (1, 2), "b": (2, 1), "n": 2},
+    # methods, called on the instance of their class in INSTANCES
+    "ADEForm.pair": {"a": (1, 0), "b": (0, 1)},
+    "Cyclotomic.embed": {"L": 8},
+    "MukaiVector.scale": {"k": 2},
+    "PicardLattice.degree": {"a": (1, 0)},
+    "PicardLattice.intersect": {"a": (1, 0), "b": (0, 1)},
 }
+
+_MODEL = preset_cyclic(2)
+
+# One instance of each exported class, so the sweep walks the integer slots of its methods too.
+INSTANCES = {
+    "ADEForm": ade_form("A", 2),
+    "Character": trivial_character(cyclic_group(2)),
+    "Cyclotomic": Cyclotomic(4, (1, 2)),
+    "EquivariantClass": tangent_bundle_class(_MODEL),
+    "FiniteGroup": cyclic_group(3),
+    "GroupRingElement": GroupRingElement(3, (1, 2)),
+    "HilbClassMu2": HilbClassMu2(1, (0,) * 8),
+    "K3GModel": _MODEL,
+    "MukaiVector": MukaiVector(1, (0, 0), 1),
+    "OrbifoldMukaiVector": OrbifoldMukaiVector(MukaiVector(1, (0,), 1), (Cyclotomic.one(2),)),
+    "PicardLattice": elliptic_k3_lattice(),
+    "QuotientRing": QuotientRing((1, 0, 1)),
+    "QuotientRingElement": QuotientRingElement(QuotientRing((1, 0, 1)), (1, 2)),
+    "SectorEntry": SectorEntry(class_index=0, stabilizer_order=2, eig_order=2, eig_exp=1, multiplicity=1),
+}
+
+
+def test_instances_cover_the_exported_classes():
+    classes = {
+        name: value for name, value in vars(orbk3).items()
+        if isinstance(value, type) and not issubclass(value, BaseException)
+    }
+    assert set(INSTANCES) == set(classes)
+    assert all(type(INSTANCES[name]) is cls for name, cls in classes.items())
+
+
+def _public_methods() -> dict:
+    """`Class.method` -> the bound method, for the public instance methods of each instance."""
+    out = {}
+    for name, instance in INSTANCES.items():
+        for attr in dir(type(instance)):
+            if not attr.startswith("_") and inspect.isfunction(inspect.getattr_static(type(instance), attr)):
+                out[f"{name}.{attr}"] = getattr(instance, attr)
+    return out
 
 
 def _with_first(value, depth: int, bad):
@@ -257,10 +303,11 @@ def _with_first(value, depth: int, bad):
 
 
 def test_integer_slots_reject_bool_float_and_str(exported_callables):
-    # the valid call with True, 2.0 or "2" in one integer slot (in its first element, for
-    # a sequence) raises TypeError, not a domain error and not a result
+    # the valid call of an exported callable or of a method of INSTANCES, with True, 2.0 or
+    # "2" in one integer slot (in its first element, for a sequence), raises TypeError, not a
+    # domain error and not a result
     slotted, leaks = set(), []
-    for name, f in exported_callables.items():
+    for name, f in {**exported_callables, **_public_methods()}.items():
         slots = {}
         for p in inspect.signature(f).parameters.values():
             if p.annotation in INTEGER_SLOTS:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbk3 import cyclotomic, polyring
 from orbk3.cyclotomic import (
     MAX_PARSED_FIELD_ORDER,
     AmbientFieldError,
@@ -24,7 +25,7 @@ from orbk3.cyclotomic import (
     sesquilinear_sum,
     sum_inverse_one_minus_cos,
 )
-from orbk3.polyring import poly, poly_divmod, poly_fold, poly_mul
+from orbk3.polyring import monomial, poly, poly_divmod, poly_fold, poly_mul
 
 
 def test_phi8_by_explicit_division():
@@ -225,10 +226,37 @@ def test_conjugate_and_embed_match_root_sums(data):
 def test_cyclotomic_polynomial_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for L in [*range(1, 121), 840]:
+    for L in [*range(1, 121), 128, 243, 360, 720, 840]:
         expected = sympy.Poly(sympy.cyclotomic_poly(L, x), x).all_coeffs()[::-1]
         assert cyclotomic_polynomial(L) == tuple(Fraction(int(c)) for c in expected)
         assert euler_phi(L) == sympy.totient(L)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 12, 30, 128, 210, 243, 360, 720, 840])
+def test_cyclotomic_polynomial_divides_once_per_prime(monkeypatch, n):
+    # from a cleared cache, Phi_n costs one exact division per distinct prime of n; the
+    # kernel is counted under both names, so a division through `poly_divmod` counts too
+    calls, divmod_ = [], polyring._pseudo_divmod
+
+    def counted(R, M):
+        calls.append(len(M) - 1)
+        return divmod_(R, M)
+
+    monkeypatch.setattr(polyring, "_pseudo_divmod", counted)
+    monkeypatch.setattr(cyclotomic, "_pseudo_divmod", counted)
+    cyclotomic_polynomial.cache_clear()
+    cyclotomic_polynomial(n)
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    assert len(calls) <= len(primes)
+
+
+def test_zeta_powers_match_the_generic_reduction():
+    for L in [*range(1, 121), 840]:
+        powers = cyclotomic._zeta_powers(L)
+        assert len(powers) == L
+        for k, z in enumerate(powers):
+            assert z.coeffs == Cyclotomic(L, monomial(k)).coeffs
+            assert all(type(c) is Fraction for c in z.coeffs)
 
 
 @pytest.mark.parametrize("L", [5, 8, 12, 15, 21, 31, 60, 97])

@@ -49,10 +49,9 @@ from .polyring import format_poly
 from .toystacks import (
     GroupRingElement,
     ToyStackError,
+    _wps_euler_and_relation,
     bg_moduli_count,
     parseval_check,
-    wps_euler_class_tangent,
-    wps_relation_element,
 )
 
 EXIT_OK = 0
@@ -61,8 +60,8 @@ EXIT_MODEL = 3
 EXIT_INTERNAL = 4
 
 # Size limits on integer arguments, so that every accepted argv has a bounded cost.  Whole-process
-# `python -m orbk3.cli` wall time at the limits (2-vCPU x86-64, Python 3.11.7): parseval 0.5-0.7 s,
-# hilb-enum 0.7-0.9 s; wps-euler 0.2-0.3 s on 8,8,8,8,8,8,8,8 and 1.7-2.2 s on 5,6,7,8,9,9,10,10.
+# `python -m orbk3.cli` wall time at the limits (2-vCPU x86-64, Python 3.11.7): parseval 0.5 s,
+# hilb-enum 0.6-0.9 s; wps-euler 0.2-0.3 s on 8,8,8,8,8,8,8,8 and 0.9-1.4 s on 5,6,7,8,9,9,10,10.
 PARSEVAL_MAX_N = 12
 PARSEVAL_MAX_TRIALS = 100
 HILB_MAX_LENGTH = 6
@@ -193,8 +192,8 @@ def cmd_wps_euler(args):
         raise UsageError(
             f"at most {WPS_MAX_WEIGHTS} weights with sum at most {WPS_MAX_WEIGHT_SUM}"
         )
-    euler_class = format_poly(wps_euler_class_tangent(weights).coeffs)
-    relation = wps_relation_element(weights)
+    euler, relation = _wps_euler_and_relation(weights)
+    euler_class = format_poly(euler.coeffs)
     if not relation.is_zero():
         raise ConsistencyError(f"relation element nonzero: {relation}")
     return (

@@ -4,9 +4,12 @@ An element of Q(zeta_L) is a `QuotientRingElement` of Q[x]/Phi_L(x), where
 Phi_L is the L-th cyclotomic polynomial, so it shares the one residue
 arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
-and the powers of zeta_L are built in Z[x], each with one Fraction per distinct
-coefficient at the end: Phi_L from the primes of L, one exact division per prime,
-and zeta_L^k by the recurrence r <- x*r - r_top*Phi_L.
+and the powers of zeta_L are built in Z[x]: Phi_L from the primes of L, one
+exact division per prime, and zeta_L^k by the recurrence r <- x*r - r_top*Phi_L.
+Integer rows over one denominator become field elements in one shared step,
+`_field_elements`: a row longer than phi(L) is reduced mod the monic integer
+Phi_L, so in Z, and the elements share one Fraction per distinct value.  The
+powers of zeta_L and the transform `toystacks.dft_inverse` both end in it.
 What is particular to the field lives here: operands of different orders meet
 in Q(zeta_lcm) (bounded in `_common_order`); embedding and conjugation
 substitute a power of x and reduce, which, because x^L = 1 mod Phi_L, is one
@@ -60,7 +63,7 @@ def cyclotomic_polynomial(n: int) -> Coeffs:
         phi, rem, scale = _pseudo_divmod(_substitute_power(phi, p), phi)
         assert not rem and scale == 1
         r *= p
-    return _as_fractions([_substitute_power(phi, n // r)])[0]
+    return tuple([Fraction(c) for c in _substitute_power(phi, n // r)])
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -82,12 +85,6 @@ def _substitute_power(P: list[int], e: int) -> list[int]:
     return out
 
 
-def _as_fractions(rows: list[list[int]]) -> list[Coeffs]:
-    """Integer rows as Fraction tuples, one Fraction object per distinct value."""
-    frac = {c: Fraction(c) for c in set().union(*rows)}
-    return [tuple(map(frac.__getitem__, row)) for row in rows]
-
-
 def euler_phi(n: int) -> int:
     """phi(n) = deg Phi_n."""
     return len(cyclotomic_polynomial(n)) - 1
@@ -106,7 +103,7 @@ def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
     """zeta_L^k for k = 0..L-1, as residues built in Z by r <- x*r - r_top*Phi_L.
 
     Phi_L is monic, so the shift x*r is reduced by one multiple of Phi_L and
-    every residue stays an integer vector; the rows share their Fractions.
+    every residue stays an integer vector; `_field_elements` wraps the rows.
     """
     phi = [c.numerator for c in cyclotomic_polynomial(L)]
     terms = [(j, b) for j, b in enumerate(phi[:-1]) if b]
@@ -118,8 +115,29 @@ def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
             for j, b in terms:
                 row[j] -= top * b
         rows.append(row)
+    return _field_elements(L, rows)
+
+
+def _field_elements(L: int, rows: list[list[int]], d: int = 1) -> tuple["Cyclotomic", ...]:
+    """The elements R/d of Q(zeta_L), one per integer row R, all over the one denominator d.
+
+    A row longer than phi(L) is reduced mod the integer Phi_L by one `_pseudo_divmod`, whose
+    scale is 1 because Phi_L is monic, so the reduction stays in Z; the rows are consumed.
+    Each residue is padded to phi(L) entries, and the elements share one Fraction per
+    distinct value.
+    """
+    phi = [c.numerator for c in cyclotomic_polynomial(L)]
+    deg = len(phi) - 1
+    residues = []
+    for row in rows:
+        if len(row) > deg:
+            row = _pseudo_divmod(row, phi)[1]
+            row += [0] * (deg - len(row))
+        residues.append(row)
+    frac = {c: Fraction(c, d) for c in set().union(*residues)}
     one = Cyclotomic.one(L)
-    return tuple(map(one._new, _as_fractions(rows)))
+    # from lists: tuple() of an iterator resizes, stranding tuples in CPython's free lists
+    return tuple([one._new(tuple([frac[c] for c in row])) for row in residues])
 
 
 @lru_cache(maxsize=None)

@@ -312,6 +312,7 @@ class QuotientRingElement:
         return b * a.inverse()
 
     def __pow__(self, k: int):
+        k = integer(k)
         base = self if k >= 0 else self.inverse()
         k = abs(k)
         acc = self._pair(1)[1]

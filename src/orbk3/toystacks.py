@@ -3,7 +3,11 @@
 Covers the exact discrete Fourier transform picture for B(mu_n) (including
 Parseval's identity), K-theory rings of weighted projective stacks with
 their tangent Euler classes, the fixed P(2,3) twisted-character example,
-and the stars-and-bars moduli count on B(mu_n).
+and the stars-and-bars moduli count on B(mu_n).  The transform works on
+integer numerators: one fold per output in Z, one reduction mod the monic
+integer Phi_n per output, and one Fraction per distinct value at the end.
+The pairing of transforms, `weighted_inner_product`, stays on the Fraction
+arithmetic of `QuotientRingElement`.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from itertools import accumulate
 from math import comb, prod
 from operator import mul
 
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, _field_elements, root_of_unity
 from .groups import Character, char_inner_product
 from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
-from .polyring import poly, poly_fold, poly_mul
+from .polyring import _numerators, poly, poly_mul
 
 
 class ToyStackError(ValueError):
@@ -61,9 +65,22 @@ class GroupRingElement(QuotientRingElement):
 
 def dft_inverse(f: GroupRingElement) -> tuple[Cyclotomic, ...]:
     """The twisted-character vector of f: f_check(k) = sum_j zeta_n^{jk} f(j),
-    which is f(x^k) mod x^n - 1, reduced once mod Phi_n (a divisor of x^n - 1)."""
+    which is f(x^k) mod x^n - 1, reduced once mod Phi_n (a divisor of x^n - 1).
+
+    The transform runs in Z: f = P/d with P integral (`_numerators`), each fold
+    P(x^k) mod x^n - 1 is an integer row, and `_field_elements` reduces the rows
+    mod the monic Phi_n and divides by d, one Fraction per distinct value.
+    """
     n = f.n
-    return tuple(Cyclotomic(n, poly_fold(f.coeffs, k, n)) for k in range(n))
+    P, d = _numerators(f.coeffs)
+    terms = [(j, c) for j, c in enumerate(P) if c]
+    rows = []
+    for k in range(n):
+        row = [0] * n
+        for j, c in terms:
+            row[j * k % n] += c
+        rows.append(row)
+    return _field_elements(n, rows, d)
 
 
 def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
@@ -117,9 +134,15 @@ def _wps_factors(weights) -> tuple[QuotientRing, list[QuotientRingElement]]:
 
 
 def wps_euler_class_tangent(weights) -> QuotientRingElement:
-    """e^K of the tangent bundle: sum_i prod_{j != i} (1 - x^{-a_j}).
+    """e^K of the tangent bundle: sum_i prod_{j != i} (1 - x^{-a_j})."""
+    return _wps_euler_and_relation(weights)[0]
+
+
+def _wps_euler_and_relation(weights) -> tuple[QuotientRingElement, QuotientRingElement]:
+    """e^K of the tangent bundle and the relation element, from one `_wps_factors`.
 
     prod_{j != i} is a prefix product times a suffix product: 3n multiplies, not n^2.
+    The last suffix product is prod_i (1 - x^{-a_i}), the relation element.
     """
     ring, factors = _wps_factors(weights)
     prefixes = list(accumulate(factors[:-1], mul, initial=ring.one))
@@ -127,7 +150,7 @@ def wps_euler_class_tangent(weights) -> QuotientRingElement:
     for prefix, factor in zip(reversed(prefixes), reversed(factors)):
         total = total + prefix * suffix
         suffix = suffix * factor
-    return total
+    return total, suffix
 
 
 def wps_relation_element(weights) -> QuotientRingElement:

@@ -474,8 +474,8 @@ FAILURE_BRANCHES = {
         "orbk3.cli.parseval_check", lambda f, g: False, ["parseval", "--n", "3", "--trials", "2"], 4, CONSISTENCY,
     ),
     "wps-euler": (
-        "orbk3.cli.wps_relation_element", lambda weights: GroupRingElement(1, (1,)), ["wps-euler", "--weights", "1,2"],
-        4, CONSISTENCY,
+        "orbk3.cli._wps_euler_and_relation", lambda weights: (GroupRingElement(1, ()), GroupRingElement(1, (1,))),
+        ["wps-euler", "--weights", "1,2"], 4, CONSISTENCY,
     ),
     "dim-preset-builtin-irrational": (
         "orbk3.cli.euler_pairing", _raise_exactness, ["dim", "--preset", "cyclic:2", "--class", "TX"], 4, CONSISTENCY,

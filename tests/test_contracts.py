@@ -181,6 +181,11 @@ RAISES_ROWS = (
     ("reduced-hilbert-zeros", (LatticeError, lambda: reduced_hilbert_polynomial((0, 0)))),
     ("group-ring-monomial-exponent-bool", (TypeError, lambda: GroupRingElement.monomial(4, True))),
     ("embed-bool", (TypeError, lambda: Cyclotomic.one().embed(True))),
+    # the exponent of `**` is an integer slot too: True is not the exponent 1
+    ("pow-exponent-bool", (TypeError, lambda: Cyclotomic(4, (0, 1)) ** True)),
+    ("pow-exponent-float", (TypeError, lambda: Cyclotomic(4, (0, 1)) ** 2.0)),
+    ("pow-exponent-str", (TypeError, lambda: Cyclotomic(4, (0, 1)) ** "2")),
+    ("quotient-ring-pow-bool", (TypeError, lambda: QuotientRing((1, 0, 1)).x() ** False)),
     # after Phi_1 is cached: an untyped cache would answer True with it
     ("cyclotomic-polynomial-bool", (
         TypeError,

@@ -18,6 +18,7 @@ from orbk3.polyring import (
     poly_inverse_mod,
     poly_mul,
 )
+from orbk3.toystacks import GroupRingElement, dft_inverse
 
 polys = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=0, max_size=6
@@ -76,9 +77,10 @@ def test_divmod_matches_sympy(problem):
 
 
 def test_products_retain_no_memory(retained_bytes):
-    # 4000 products in Q(zeta_L), then 1400 sesquilinear sums of two terms, each with its
-    # weight in a subfield: the kernels build their int and Fraction vectors from lists, so
-    # nothing is stranded in CPython's free lists between calls
+    # 4000 products in Q(zeta_L), 1400 sesquilinear sums of two terms, each with its weight
+    # in a subfield, and 1520 transforms of integer and Fraction vectors: the kernels build
+    # their int and Fraction vectors from lists, so nothing is stranded in CPython's free
+    # lists between calls
     rng = random.Random(0)
 
     def element(L):
@@ -92,6 +94,16 @@ def test_products_retain_no_memory(retained_bytes):
         for _ in range(200)
     ]
     assert retained_bytes(sesquilinear_sum, sums) < 64 * 1024
+    orders = [*range(2, 17), 18, 20, 24, 30]
+    for n in orders:  # Phi_n and Q(zeta_n) are cached on first use, before the measurement
+        dft_inverse(GroupRingElement(n, ()))
+    vectors = [
+        (GroupRingElement(n, [Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(n)]),)
+        for n in orders
+        for den in (1, 4)
+        for _ in range(40)
+    ]
+    assert retained_bytes(dft_inverse, vectors) < 64 * 1024
 
 
 def _gcd_over_q(a, b):

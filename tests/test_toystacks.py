@@ -6,12 +6,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbk3.cyclotomic import Cyclotomic, root_of_unity
 from orbk3.groups import abelian_character_table, cyclic_group, trivial_character
-from orbk3.polyring import QuotientRing, QuotientRingElement
+from orbk3.polyring import QuotientRing, QuotientRingElement, monomial
 from orbk3.toystacks import (
     ChowP23Element,
     GroupRingElement,
@@ -82,26 +82,42 @@ def test_parseval_property(n, data):
 
 
 def _defining_sum(f):
-    """sum_j f_j zeta_n^{jk} for each k, one root-of-unity term at a time."""
+    """sum_j f_j zeta_n^{jk} for each k, one root-of-unity term at a time.
+
+    Each zeta_n^{jk} is x^{jk mod n} reduced by the generic residue, so the reference
+    shares no code with the integer rows of the transform or of the cached powers.
+    """
     n = f.n
     out = []
     for k in range(n):
         acc = Cyclotomic.zero(n)
         for j, c in enumerate(f.coeffs):
-            acc = acc + root_of_unity(n, j * k) * c
+            acc = acc + Cyclotomic(n, monomial(j * k % n)) * c
         out.append(acc)
     return tuple(out)
 
 
+def _coefficient_vectors(n):
+    """n integer coefficients, or n Fraction coefficients."""
+    ints = st.integers(-9, 9)
+    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+    return st.lists(ints, min_size=n, max_size=n) | st.lists(fractions, min_size=n, max_size=n)
+
+
+# n = len(coeffs); 18, 20, 24 and 30 have two or three primes, so Phi_n takes several divisions
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 16), st.data())
-def test_dft_matches_defining_sum(n, data):
-    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=3)
-    f = GroupRingElement(n, tuple(data.draw(coeff) for _ in range(n)))
-    for g in (f, GroupRingElement(n, ())):
+@given(st.sampled_from([*range(1, 17), 18, 20, 24, 30]).flatmap(_coefficient_vectors))
+@example(list(range(-9, 9)))
+@example([Fraction(k, 3) for k in range(-10, 10)])
+@example([k % 5 - 2 for k in range(24)])
+@example([Fraction(k % 7 - 3, k % 3 + 1) for k in range(30)])
+def test_dft_matches_defining_sum(coeffs):
+    n = len(coeffs)
+    for g in (GroupRingElement(n, coeffs), GroupRingElement(n, ())):
         got, want = dft_inverse(g), _defining_sum(g)
         assert got == want
         assert [(v.L, v.coeffs) for v in got] == [(v.L, v.coeffs) for v in want]
+        assert all(type(c) is Fraction for v in got for c in v.coeffs)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,19 +5,20 @@ Phi_L is the L-th cyclotomic polynomial, so it shares the one residue
 arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
 and the powers of zeta_L are built in Z[x]: Phi_L from the primes of L, one
-exact division per prime, and zeta_L^k by the recurrence r <- x*r - r_top*Phi_L.
+substitution and one exact division per prime, and zeta_L^k by r <- x*r - r_top*Phi_L.
 Integer rows over one denominator become field elements in one shared step,
 `_field_elements`: a row longer than phi(L) is reduced mod the monic integer
 Phi_L, so in Z, and the elements share one Fraction per distinct value.  The
 powers of zeta_L and the transform `toystacks.dft_inverse` both end in it.
 What is particular to the field lives here: operands of different orders meet
-in Q(zeta_lcm) (bounded in `_common_order`); embedding and conjugation
-substitute a power of x and reduce, which, because x^L = 1 mod Phi_L, is one
-`poly_fold`.  The field trace Tr(a) = sum of the Galois conjugates of a is
-read off the coefficients with no arithmetic in the field, so a sum of a
-rational function over all primitive m-th roots of unity costs one evaluation
-in Q(zeta_m) and one trace; `sum_inverse_one_minus_cos` inverts once per
-divisor of n this way.  Hashing uses Tr(a)/phi(L), which embedding preserves.
+in Q(zeta_lcm) (bounded in `_common_order`).  Every substitution x -> x^e is one
+`poly_fold`: in building Phi_L, and in embedding and conjugation, which reduce
+mod x^L - 1 first, since x^L = 1 mod Phi_L.  The field trace Tr(a) = sum of the
+Galois conjugates of a is read off the coefficients with no arithmetic in the
+field, so a sum of a rational function over all primitive m-th roots of unity
+costs one evaluation in Q(zeta_m) and one trace; `sum_inverse_one_minus_cos`
+inverts once per divisor of n this way.  Hashing uses Tr(a)/phi(L), which
+embedding preserves.
 
 Reduction mod Phi_L is linear, so a sum of products need not be reduced term
 by term (GAP's `cyclotom.c`, Breuer 1997).  `sesquilinear_sum` returns
@@ -54,16 +55,18 @@ def cyclotomic_polynomial(n: int) -> Coeffs:
 
     Phi_1 = x - 1, and Phi_mp(x) = Phi_m(x^p)/Phi_m(x) for a prime p not
     dividing m: one exact division by a monic divisor per prime of n.  That
-    gives Phi_r for r the radical of n, and Phi_n(x) = Phi_r(x^(n/r)).
+    gives Phi_r for r the radical of n, and Phi_n(x) = Phi_r(x^(n/r)).  Each
+    P(x^e) is a `poly_fold` mod x^((deg P)*e + 1) - 1, past its degree, so nothing folds.
     """
     if (n := integer(n)) < 1:
         raise ValueError("n must be positive")
     phi, r = [-1, 1], 1
     for p in _prime_factors(n):
-        phi, rem, scale = _pseudo_divmod(_substitute_power(phi, p), phi)
+        phi, rem, scale = _pseudo_divmod(list(poly_fold(phi, p, (len(phi) - 1) * p + 1)), phi)
         assert not rem and scale == 1
         r *= p
-    return tuple([Fraction(c) for c in _substitute_power(phi, n // r)])
+    e = n // r
+    return tuple([Fraction(c) for c in poly_fold(phi, e, (len(phi) - 1) * e + 1)])
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -76,13 +79,6 @@ def _prime_factors(n: int) -> list[int]:
                 n //= p
         p += 1
     return primes + [n] if n > 1 else primes
-
-
-def _substitute_power(P: list[int], e: int) -> list[int]:
-    """P(x^e) for an integer vector P."""
-    out = [0] * ((len(P) - 1) * e + 1)
-    out[::e] = P
-    return out
 
 
 def euler_phi(n: int) -> int:
@@ -118,11 +114,11 @@ def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
     return _field_elements(L, rows)
 
 
-def _field_elements(L: int, rows: list[list[int]], d: int = 1) -> tuple["Cyclotomic", ...]:
+def _field_elements(L: int, rows: list, d: int = 1) -> tuple["Cyclotomic", ...]:
     """The elements R/d of Q(zeta_L), one per integer row R, all over the one denominator d.
 
     A row longer than phi(L) is reduced mod the integer Phi_L by one `_pseudo_divmod`, whose
-    scale is 1 because Phi_L is monic, so the reduction stays in Z; the rows are consumed.
+    scale is 1 because Phi_L is monic, so the reduction stays in Z.
     Each residue is padded to phi(L) entries, and the elements share one Fraction per
     distinct value.
     """
@@ -131,12 +127,11 @@ def _field_elements(L: int, rows: list[list[int]], d: int = 1) -> tuple["Cycloto
     residues = []
     for row in rows:
         if len(row) > deg:
-            row = _pseudo_divmod(row, phi)[1]
+            row = _pseudo_divmod(list(row), phi)[1]
             row += [0] * (deg - len(row))
         residues.append(row)
     frac = {c: Fraction(c, d) for c in set().union(*residues)}
     one = Cyclotomic.one(L)
-    # from lists: tuple() of an iterator resizes, stranding tuples in CPython's free lists
     return tuple([one._new(tuple([frac[c] for c in row])) for row in residues])
 
 
@@ -176,7 +171,6 @@ MAX_PARSED_FIELD_ORDER = 840
 
 def _common_order(orders: list[int]) -> int:
     """The lcm of the operand orders; AmbientFieldError if it exceeds the bound and is none of them."""
-    # lcm of a list: unpacking a generator grows a tuple, stranding tuples in CPython's free lists
     L = lcm(1, *orders)
     if L > MAX_PARSED_FIELD_ORDER and L not in orders:
         raise AmbientFieldError(

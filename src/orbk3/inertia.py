@@ -17,7 +17,8 @@ from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, ExactnessError, _common_order, inverse_one_minus_re, root_of_unity
+from .cyclotomic import Cyclotomic, ExactnessError, _common_order, _prime_factors, inverse_one_minus_re
+from .cyclotomic import root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
 from .lattice import PicardLattice
 from .polyring import integer, poly_fold
@@ -46,9 +47,8 @@ def fixed_points_closed_form(n: int) -> int:
     if (n := integer(n)) < 1:
         raise ModelError(f"closed-form fixed point count requires n >= 1, got {n}")
     value = Fraction(24, n)
-    for p in range(2, n + 1):
-        if n % p == 0 and all(p % q != 0 for q in range(2, p)):
-            value /= 1 + Fraction(1, p)
+    for p in _prime_factors(n):
+        value /= 1 + Fraction(1, p)
     if value.denominator != 1:
         raise ModelError(f"closed-form fixed point count for n={n} is not integral")
     return int(value)

@@ -69,9 +69,10 @@ def poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
 def poly_fold(p: Sequence[Fraction], e: int, n: int) -> Coeffs:
     """Coefficients of p(x^e) mod x^n - 1, all n of them (trailing zeros kept).
 
+    p is an int or a Fraction vector; the zeros filled in are int 0, so ints fold to ints.
     Any integer e works, negative ones included: x^n = 1 makes x^e = x^(e mod n).
     """
-    out = [Fraction(0)] * n
+    out = [0] * n
     for k, c in enumerate(p):
         if c:
             out[k * e % n] += c
@@ -128,7 +129,6 @@ def _pseudo_divmod(R: list[int], M: Sequence[int]) -> tuple[list[int], list[int]
 
 def _numerators(p: Coeffs) -> tuple[list[int], int]:
     """(P, d) with p = P/d, P an integer vector and d the lcm of the denominators."""
-    # lcm of a list: unpacking a generator grows a tuple, stranding tuples in CPython's free lists
     d = lcm(*[c.denominator for c in p])
     return [c.numerator * (d // c.denominator) for c in p], d
 
@@ -277,7 +277,6 @@ class QuotientRingElement:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        # from a list: tuple() of an iterator resizes, stranding tuples in CPython's free lists
         return a._new(tuple([x + y for x, y in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__

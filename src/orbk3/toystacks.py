@@ -4,8 +4,8 @@ Covers the exact discrete Fourier transform picture for B(mu_n) (including
 Parseval's identity), K-theory rings of weighted projective stacks with
 their tangent Euler classes, the fixed P(2,3) twisted-character example,
 and the stars-and-bars moduli count on B(mu_n).  The transform works on
-integer numerators: one fold per output in Z, one reduction mod the monic
-integer Phi_n per output, and one Fraction per distinct value at the end.
+integer numerators: one `poly_fold` per output in Z, one reduction mod the
+monic integer Phi_n per output, and one Fraction per distinct value at the end.
 The pairing of transforms, `weighted_inner_product`, stays on the Fraction
 arithmetic of `QuotientRingElement`.
 """
@@ -22,7 +22,7 @@ from operator import mul
 from .cyclotomic import Cyclotomic, _field_elements, root_of_unity
 from .groups import Character, char_inner_product
 from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
-from .polyring import _numerators, poly, poly_mul
+from .polyring import _numerators, poly, poly_fold, poly_mul
 
 
 class ToyStackError(ValueError):
@@ -67,20 +67,13 @@ def dft_inverse(f: GroupRingElement) -> tuple[Cyclotomic, ...]:
     """The twisted-character vector of f: f_check(k) = sum_j zeta_n^{jk} f(j),
     which is f(x^k) mod x^n - 1, reduced once mod Phi_n (a divisor of x^n - 1).
 
-    The transform runs in Z: f = P/d with P integral (`_numerators`), each fold
-    P(x^k) mod x^n - 1 is an integer row, and `_field_elements` reduces the rows
+    The transform runs in Z: f = P/d with P integral (`_numerators`), each
+    `poly_fold(P, k, n)` is an integer row, and `_field_elements` reduces the rows
     mod the monic Phi_n and divides by d, one Fraction per distinct value.
     """
     n = f.n
     P, d = _numerators(f.coeffs)
-    terms = [(j, c) for j, c in enumerate(P) if c]
-    rows = []
-    for k in range(n):
-        row = [0] * n
-        for j, c in terms:
-            row[j * k % n] += c
-        rows.append(row)
-    return _field_elements(n, rows, d)
+    return _field_elements(n, [poly_fold(P, k, n) for k in range(n)], d)
 
 
 def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:

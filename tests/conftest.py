@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import orbk3
-from orbk3 import polyring
+from orbk3 import cyclotomic, inertia, polyring, toystacks
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +50,21 @@ def mul_calls(monkeypatch) -> list:
         return mul(p, q)
 
     monkeypatch.setattr(polyring, "poly_mul", counted)
+    return calls
+
+
+@pytest.fixture
+def fold_calls(monkeypatch) -> list:
+    """(e, n) of every call to the one substitution kernel, `poly_fold`, under each name it is
+    imported by, so a hand-written x -> x^e in place of a call shows up as a missing call."""
+    calls, fold = [], polyring.poly_fold
+
+    def counted(p, e, n):
+        calls.append((e, n))
+        return fold(p, e, n)
+
+    for module in (polyring, cyclotomic, inertia, toystacks):
+        monkeypatch.setattr(module, "poly_fold", counted)
     return calls
 
 

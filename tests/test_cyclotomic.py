@@ -4,7 +4,7 @@ import operator
 import random
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -233,9 +233,10 @@ def test_cyclotomic_polynomial_matches_sympy():
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 12, 30, 128, 210, 243, 360, 720, 840])
-def test_cyclotomic_polynomial_divides_once_per_prime(monkeypatch, n):
+def test_cyclotomic_polynomial_divides_once_per_prime(monkeypatch, fold_calls, n):
     # from a cleared cache, Phi_n costs one exact division per distinct prime of n; the
-    # kernel is counted under both names, so a division through `poly_divmod` counts too
+    # kernel is counted under both names, so a division through `poly_divmod` counts too.
+    # Each x -> x^p, and the x -> x^(n/r) at the end, is a call to `poly_fold`
     calls, divmod_ = [], polyring._pseudo_divmod
 
     def counted(R, M):
@@ -248,6 +249,7 @@ def test_cyclotomic_polynomial_divides_once_per_prime(monkeypatch, n):
     cyclotomic_polynomial(n)
     primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
     assert len(calls) <= len(primes)
+    assert [e for e, _ in fold_calls] == [*primes, n // prod(primes)]
 
 
 def test_zeta_powers_match_the_generic_reduction():

@@ -78,9 +78,8 @@ def test_divmod_matches_sympy(problem):
 
 def test_products_retain_no_memory(retained_bytes):
     # 4000 products in Q(zeta_L), 1400 sesquilinear sums of two terms, each with its weight
-    # in a subfield, and 1520 transforms of integer and Fraction vectors: the kernels build
-    # their int and Fraction vectors from lists, so nothing is stranded in CPython's free
-    # lists between calls
+    # in a subfield, and 1520 transforms of integer and Fraction vectors: the kernels keep
+    # nothing alive between calls (no cache or accumulator grows with the number of calls)
     rng = random.Random(0)
 
     def element(L):
@@ -156,6 +155,18 @@ def test_fold_worked_examples():
     # trailing zeros are kept: the result has exactly n coefficients
     assert poly_fold(p, 1, 5) == (1, 2, 3, 0, 0)
     assert poly_fold((), 1, 2) == (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(-7, 7), st.integers(1, 9), st.integers(-2, 2))
+def test_poly_fold_keeps_ints(P, e, n, turns):
+    # e + turns*n covers negative exponents and e = 0 mod n; ints in give ints out, zeros
+    # included, with the values of the fold of the same vector as Fractions
+    for exponent in (e + turns * n, turns * n):
+        folded = poly_fold(P, exponent, n)
+        assert all(type(c) is int for c in folded)
+        assert folded == poly_fold([Fraction(c) for c in P], exponent, n)
+    assert poly_fold(P, turns * n, n) == (sum(P),) + (0,) * (n - 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -120,6 +120,16 @@ def test_dft_matches_defining_sum(coeffs):
         assert all(type(c) is Fraction for v in got for c in v.coeffs)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 30])
+def test_dft_folds_once_per_output(fold_calls, n):
+    # the n outputs are n calls to `poly_fold`, x -> x^k mod x^n - 1 for k = 0..n-1
+    f = GroupRingElement(n, [Fraction(k - 3, k % 4 + 1) for k in range(n)])
+    dft_inverse(f)  # Phi_n is cached on first use, before the count
+    fold_calls.clear()
+    dft_inverse(f)
+    assert fold_calls == [(k, n) for k in range(n)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 12), st.data())
 def test_parseval_property_fractions(n, data):

@@ -69,13 +69,23 @@ BG_MAX_N = 1000
 BG_MAX_DEGREE = 1000
 WPS_MAX_WEIGHTS = 8
 WPS_MAX_WEIGHT_SUM = 64
+# Digits of an integer in a JSON document or an integer list, as of a rational in `c[L]: ...` text:
+# the square of such a value prints within Python's 4300-digit limit on int strings.
+MAX_INT_DIGITS = 1000
+
+
+def _bounded_int(text: str) -> int:
+    """int(text); ValueError beyond MAX_INT_DIGITS digits, before any conversion."""
+    if len(text.strip().lstrip("+-")) > MAX_INT_DIGITS:
+        raise ValueError(f"integer of more than {MAX_INT_DIGITS} digits")
+    return int(text)
 
 
 def _read_json(path: str, what: str):
     """The JSON document in a file; UsageError if it cannot be read or decoded."""
     try:
         with open(path) as f:
-            return json.load(f)
+            return json.load(f, parse_int=_bounded_int)
     except (OSError, RecursionError, ValueError) as exc:
         raise UsageError(f"cannot read {what}: {exc}") from exc
 
@@ -83,9 +93,9 @@ def _read_json(path: str, what: str):
 def _int_list(flag: str, text: str) -> tuple[int, ...]:
     """A comma-separated list of integers; UsageError otherwise."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(_bounded_int, text.split(",")))
     except ValueError as exc:
-        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}") from exc
+        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}: {exc}") from exc
 
 
 def _load_preset_or_model(args, validate: bool):
@@ -214,7 +224,7 @@ def cmd_check_hypotheses(args):
         if args.d is not None:
             raise UsageError("--d excludes --gram: the lattice determines the degree")
         try:
-            gram = json.loads(args.gram)
+            gram = json.loads(args.gram, parse_int=_bounded_int)
             rank = len(gram)
         except (RecursionError, TypeError, ValueError) as exc:
             raise UsageError(f"--gram must be a JSON matrix, got {args.gram!r}: {exc}") from exc

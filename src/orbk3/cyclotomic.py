@@ -6,10 +6,9 @@ arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
 and the powers of zeta_L are built in Z[x]: Phi_L from the primes of L, one
 substitution and one exact division per prime, and zeta_L^k by r <- x*r - r_top*Phi_L.
-Integer rows over one denominator become field elements in one shared step,
-`_field_elements`: a row longer than phi(L) is reduced mod the monic integer
-Phi_L, so in Z, and the elements share one Fraction per distinct value.  The
-powers of zeta_L and the transform `toystacks.dft_inverse` both end in it.
+The field is a `QuotientRing` that holds the integer Phi_L; the powers of zeta_L
+and the transform `toystacks.dft_inverse` hand it integer rows (`_residues`),
+reduced mod the monic Phi_L in Z with one Fraction per distinct value.
 What is particular to the field lives here: operands of different orders meet
 in Q(zeta_lcm) (bounded in `_common_order`).  Every substitution x -> x^e is one
 `poly_fold`: in building Phi_L, and in embedding and conjugation, which reduce
@@ -98,10 +97,11 @@ def _field(L: int) -> QuotientRing:
 def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
     """zeta_L^k for k = 0..L-1, as residues built in Z by r <- x*r - r_top*Phi_L.
 
-    Phi_L is monic, so the shift x*r is reduced by one multiple of Phi_L and
-    every residue stays an integer vector; `_field_elements` wraps the rows.
+    Phi_L, read as the field's integer modulus, is monic, so the shift x*r is reduced by one
+    multiple of Phi_L and every residue stays an integer vector; the field's `_residues` wraps the rows.
     """
-    phi = [c.numerator for c in cyclotomic_polynomial(L)]
+    one = Cyclotomic.one(L)
+    phi = one.ring._integer_modulus
     terms = [(j, b) for j, b in enumerate(phi[:-1]) if b]
     row = [1] + [0] * (len(phi) - 2)
     rows = [row]
@@ -111,28 +111,7 @@ def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
             for j, b in terms:
                 row[j] -= top * b
         rows.append(row)
-    return _field_elements(L, rows)
-
-
-def _field_elements(L: int, rows: list, d: int = 1) -> tuple["Cyclotomic", ...]:
-    """The elements R/d of Q(zeta_L), one per integer row R, all over the one denominator d.
-
-    A row longer than phi(L) is reduced mod the integer Phi_L by one `_pseudo_divmod`, whose
-    scale is 1 because Phi_L is monic, so the reduction stays in Z.
-    Each residue is padded to phi(L) entries, and the elements share one Fraction per
-    distinct value.
-    """
-    phi = [c.numerator for c in cyclotomic_polynomial(L)]
-    deg = len(phi) - 1
-    residues = []
-    for row in rows:
-        if len(row) > deg:
-            row = _pseudo_divmod(list(row), phi)[1]
-            row += [0] * (deg - len(row))
-        residues.append(row)
-    frac = {c: Fraction(c, d) for c in set().union(*residues)}
-    one = Cyclotomic.one(L)
-    return tuple([one._new(tuple([frac[c] for c in row])) for row in residues])
+    return tuple([one._new(r) for r in one.ring._residues(rows)])
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +293,10 @@ def sum_inverse_one_minus_cos(n: int) -> Fraction:
     return sum(inverse_one_minus_re(root_of_unity(m)).trace() for m in range(2, n + 1) if n % m == 0)
 
 
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
+# A rational of the wire format: -?p or -?p/q, each part at most 1000 digits, so parsing is cheap
+# and the square of one value prints within Python's 4300-digit limit on int strings.
+_RATIONAL = r"-?\d{1,1000}(?:/\d{1,1000})?"
+_TERM_RE = re.compile(rf"^({_RATIONAL})(?:\*z(?:\^(\d+))?)?$")
 
 
 def format_cyclotomic(a: Cyclotomic) -> str:
@@ -323,7 +305,8 @@ def format_cyclotomic(a: Cyclotomic) -> str:
 
 
 def parse_cyclotomic(text: str) -> Cyclotomic:
-    """Inverse of format_cyclotomic; also accepts bare rationals like `3/2`; else ValueError."""
+    """Inverse of format_cyclotomic; also accepts a bare rational of the coefficient grammar
+    (`3/2`, `-7`, not `1.5` or `1e3`); else ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"cyclotomic value must be a string, got {type(text).__name__}")
     try:
@@ -335,6 +318,8 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
 def _parse_cyclotomic(text: str) -> Cyclotomic:
     m = re.match(r"^c\[(\d+)\]:\s*(.*)$", text)
     if m is None:
+        if not re.fullmatch(_RATIONAL, text):
+            raise ValueError(f"malformed rational: {text!r}")
         return Cyclotomic.from_rational(Fraction(text))
     L = int(m.group(1))
     if L < 1:

@@ -4,13 +4,14 @@ Polynomials are plain tuples of Fractions in ascending degree, with trailing
 zeros stripped; the zero polynomial is the empty tuple.  A residue in Q[x]/(m)
 is exactly deg m coefficients, padded with zeros.  `QuotientRingElement` does
 all residue arithmetic; Q(zeta_L) and Z[x]/(x^n - 1) are subclasses of it.
-Division with remainder and inversion both run on integer numerators, each
-operand an integer vector over one denominator, through one pseudo-division
-routine in Z[x], `_pseudo_divmod`: division calls it once, inversion once per
-step of its remainder sequence.  One Fraction per output coefficient is built
-at the end.  `integer` and `integers` are the one integer coercion of every
-loader, and `poly` the one exact-coefficient coercion: a coefficient is an int
-or a Fraction, and a bool, float, str or any other type raises TypeError.
+Division, inversion and reduction run on integer numerators, each operand an
+integer vector over one denominator, through one pseudo-division routine in
+Z[x], `_pseudo_divmod`.  `QuotientRing` is the one place a residue is built: it
+keeps its modulus's integer numerators, and `_residues` reduces integer rows,
+builds no quotient and makes one Fraction per distinct value; `poly_divmod` is
+the public Q[x] division.  `integer` and `integers` are the one integer
+coercion of every loader, and `poly` the one exact-coefficient coercion: a
+coefficient is an int or a Fraction; a bool, float, str or other type raises TypeError.
 """
 
 from __future__ import annotations
@@ -209,13 +210,29 @@ class QuotientRing:
             raise ValueError("modulus must have degree >= 1")
         self.modulus = m
         self.degree = len(m) - 1
+        self._integer_modulus = _numerators(m)[0]
 
     def residue(self, p: Iterable) -> Coeffs:
-        """The canonical residue of p: reduced only when longer than deg m, then zero-padded."""
+        """The canonical residue of p: zero-padded when at most deg m long, else `_residues` of P/d."""
         cs = poly(p)
-        if len(cs) > self.degree:
-            cs = poly_divmod(cs, self.modulus)[1]
-        return cs + (Fraction(0),) * (self.degree - len(cs))
+        if len(cs) <= self.degree:
+            return cs + (Fraction(0),) * (self.degree - len(cs))
+        P, d = _numerators(cs)
+        return self._residues([P], d)[0]
+
+    def _residues(self, rows, d: int = 1) -> list[Coeffs]:
+        """The canonical residues of R/d, one per integer row R, over the one denominator d.
+
+        A row longer than deg m is pseudo-divided by M, S*R = Q*M + R', so R/d = R'/(d*S) mod m;
+        S is 1 for a monic M (Phi_L, x^n - 1), so the reduction stays in Z.  The rows are brought
+        to T, the lcm of the S, and zero-padded; the residues share one Fraction per distinct value.
+        """
+        deg, M = self.degree, self._integer_modulus
+        pairs = [_pseudo_divmod(list(row), M)[1:] if len(row) > deg else (row, 1) for row in rows]
+        T = lcm(*[S for _, S in pairs])
+        rows = [[c * (T // S) for c in row] + [0] * (deg - len(row)) for row, S in pairs]
+        frac = {c: Fraction(c, d * T) for c in set().union(*rows)}
+        return [tuple([frac[c] for c in row]) for row in rows]
 
     def reduce(self, p: Iterable) -> "QuotientRingElement":
         return QuotientRingElement(self, p)

@@ -4,8 +4,9 @@ Covers the exact discrete Fourier transform picture for B(mu_n) (including
 Parseval's identity), K-theory rings of weighted projective stacks with
 their tangent Euler classes, the fixed P(2,3) twisted-character example,
 and the stars-and-bars moduli count on B(mu_n).  The transform works on
-integer numerators: one `poly_fold` per output in Z, one reduction mod the
-monic integer Phi_n per output, and one Fraction per distinct value at the end.
+integer numerators: one `poly_fold` per output in Z, then the rows of all outputs
+go to the field's `QuotientRing._residues`: one reduction mod the monic integer
+Phi_n per output, and one Fraction per distinct value.
 The pairing of transforms, `weighted_inner_product`, stays on the Fraction
 arithmetic of `QuotientRingElement`.
 """
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, prod
+from math import comb
 from operator import mul
 
-from .cyclotomic import Cyclotomic, _field_elements, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity
 from .groups import Character, char_inner_product
 from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
 from .polyring import _numerators, poly, poly_fold, poly_mul
@@ -68,12 +69,12 @@ def dft_inverse(f: GroupRingElement) -> tuple[Cyclotomic, ...]:
     which is f(x^k) mod x^n - 1, reduced once mod Phi_n (a divisor of x^n - 1).
 
     The transform runs in Z: f = P/d with P integral (`_numerators`), each
-    `poly_fold(P, k, n)` is an integer row, and `_field_elements` reduces the rows
-    mod the monic Phi_n and divides by d, one Fraction per distinct value.
+    `poly_fold(P, k, n)` is an integer row, and Q(zeta_n)'s `_residues` reduces the
+    rows mod the monic Phi_n and divides by d, one Fraction per distinct value.
     """
-    n = f.n
+    n, one = f.n, Cyclotomic.one(f.n)
     P, d = _numerators(f.coeffs)
-    return _field_elements(n, [poly_fold(P, k, n) for k in range(n)], d)
+    return tuple([one._new(r) for r in one.ring._residues([poly_fold(P, k, n) for k in range(n)], d)])
 
 
 def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
@@ -118,26 +119,21 @@ def wps_ring(weights) -> QuotientRing:
     return QuotientRing(modulus)
 
 
-def _wps_factors(weights) -> tuple[QuotientRing, list[QuotientRingElement]]:
-    """The K-ring of P(weights) and its factors 1 - x^{-a}, one per weight; x is inverted once."""
-    weights = integers(weights)
-    ring = wps_ring(weights)
-    x_inverse = ring.x().inverse()
-    return ring, [ring.one - x_inverse ** a for a in weights]
-
-
 def wps_euler_class_tangent(weights) -> QuotientRingElement:
     """e^K of the tangent bundle: sum_i prod_{j != i} (1 - x^{-a_j})."""
     return _wps_euler_and_relation(weights)[0]
 
 
 def _wps_euler_and_relation(weights) -> tuple[QuotientRingElement, QuotientRingElement]:
-    """e^K of the tangent bundle and the relation element, from one `_wps_factors`.
+    """e^K of the tangent bundle and the relation element, from the factors 1 - x^{-a_i}.
 
-    prod_{j != i} is a prefix product times a suffix product: 3n multiplies, not n^2.
-    The last suffix product is prod_i (1 - x^{-a_i}), the relation element.
+    x is inverted once.  prod_{j != i} is a prefix product times a suffix product: 3n
+    multiplies, not n^2.  The last suffix product is prod_i (1 - x^{-a_i}), the relation element.
     """
-    ring, factors = _wps_factors(weights)
+    weights = integers(weights)
+    ring = wps_ring(weights)
+    x_inverse = ring.x().inverse()
+    factors = [ring.one - x_inverse ** a for a in weights]
     prefixes = list(accumulate(factors[:-1], mul, initial=ring.one))
     total, suffix = ring.zero, ring.one
     for prefix, factor in zip(reversed(prefixes), reversed(factors)):
@@ -148,8 +144,7 @@ def _wps_euler_and_relation(weights) -> tuple[QuotientRingElement, QuotientRingE
 
 def wps_relation_element(weights) -> QuotientRingElement:
     """prod_i (1 - x^{-a_i}), which must vanish in the K-ring."""
-    ring, factors = _wps_factors(weights)
-    return prod(factors, start=ring.one)
+    return _wps_euler_and_relation(weights)[1]
 
 
 def projective_space_euler_class(n: int) -> QuotientRingElement:

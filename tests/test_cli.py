@@ -202,6 +202,12 @@ MALFORMED_INPUTS = {
     "ample-not-integers": ["--gram", "[[2]]", "--ample", "x"],
     "c1-not-integers-with-gram": ["--gram", "[[2]]", "--c1", "x"],
     "c1-not-integers-without-gram": ["--c1", "x"],
+    # numbers past 1000 digits, whose products would pass Python's 4300-digit limit on printing
+    "twisted-exponent-notation": ("--class", ("twisted", 0), "1e3000"),
+    "twisted-2200-digits": ("--class", ("twisted", 0), "c[2]: " + "9" * 2200),
+    "mukai-2500-digits": ("--class", ("mukai",), {"r": int("9" * 2500), "c1": [0], "s": int("9" * 2500)}),
+    "ample-and-c1-2500-digits": ["--gram", "[[2]]", "--ample", "9" * 2500, "--c1", "9" * 2500],
+    "gram-entry-1001-digits": ["--gram", f"[[{'8' * 1001}]]"],
 }
 
 

@@ -200,6 +200,18 @@ def test_parse_accepts_the_largest_field_order():
     assert (a.L, a.coeffs[:2]) == (MAX_PARSED_FIELD_ORDER, (0, 1))
 
 
+def test_parse_bare_rationals_use_the_coefficient_grammar():
+    assert parse_cyclotomic(" -3/2 ") == Fraction(-3, 2)
+    assert parse_cyclotomic("9" * 1000 + "/7") == Fraction(int("9" * 1000), 7)
+    start = time.perf_counter()
+    for text in ("1e10000000", "1.5", "+2", "1_000", "3 / 2", "9" * 1001, "1/" + "9" * 1001):
+        with pytest.raises(ValueError):
+            parse_cyclotomic(text)
+    with pytest.raises(ValueError, match="malformed cyclotomic term"):
+        parse_cyclotomic("c[4]: " + "9" * 1001 + "*z")
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("value", [5, None, ["1"], "1/0", "c[4]: 1/0*z", "c[3]: 0/0"])
 def test_parse_rejects_non_strings_and_zero_denominators(value):
     with pytest.raises(ValueError):

@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbk3.cyclotomic import Cyclotomic, euler_phi, sesquilinear_sum
+from orbk3 import polyring
+from orbk3.cyclotomic import Cyclotomic, euler_phi, root_of_unity, sesquilinear_sum
+from orbk3.hrr import BUILTIN_CLASSES, orbifold_mukai_pairing, orbifold_mukai_vector
+from orbk3.inertia import preset_cyclic
 from orbk3.polyring import (
     QuotientRing,
     monomial,
@@ -18,7 +21,13 @@ from orbk3.polyring import (
     poly_inverse_mod,
     poly_mul,
 )
-from orbk3.toystacks import GroupRingElement, dft_inverse
+from orbk3.toystacks import (
+    GroupRingElement,
+    dft_inverse,
+    projective_space_euler_class,
+    wps_euler_class_tangent,
+    wps_relation_element,
+)
 
 polys = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=0, max_size=6
@@ -74,6 +83,49 @@ def test_divmod_matches_sympy(problem):
     p, m = problem
     q, r = _to_sympy(sympy, p).div(_to_sympy(sympy, m))
     assert poly_divmod(p, m) == (_from_sympy(q), _from_sympy(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(division_problems(), min_size=1, max_size=4), st.integers(1, 12))
+def test_residue_is_the_padded_remainder(problems, d):
+    # non-monic, fractional moduli: the ring's integer-row reduction against `poly_divmod`,
+    # which `test_divmod_matches_sympy` checks; several rows over one denominator d share a
+    # scale, the lcm of their pseudo-division scales
+    m = problems[0][1]
+    assume(len(m) > 1)
+    ring = QuotientRing(m)
+    expected = []
+    for p, _ in problems:
+        r = poly_divmod(p, m)[1]
+        expected.append(r + (0,) * (ring.degree - len(r)))
+        assert ring.residue(p) == expected[-1]
+        assert all(type(c) is Fraction for c in ring.residue(p))
+    rows = [[c.numerator * (720720 // c.denominator) for c in p] for p, _ in problems]
+    expected = [tuple(c / d for c in r) for r in expected]
+    residues = ring._residues(rows, 720720 * d)
+    assert residues == expected
+    assert all(type(c) is Fraction for r in residues for c in r)
+
+
+def test_residue_paths_never_divide(monkeypatch):
+    # every residue comes from the ring's integer rows: Q[x] division is never called
+    def forbidden(p, m):
+        raise AssertionError("poly_divmod on a residue path")
+
+    monkeypatch.setattr(polyring, "poly_divmod", forbidden)
+    for L in (1, 2, 3, 5, 8, 12, 30):
+        a = Cyclotomic(L, [Fraction(k - L, k + 1) for k in range(2 * L + 1)])
+        b = root_of_unity(L) + Fraction(1, 3)
+        assert (a * b) * b.inverse() == a
+        assert a.conjugate().conjugate() == a and a.embed(2 * L).conjugate() == a.conjugate()
+    assert dft_inverse(GroupRingElement(12, [Fraction(k, 5) for k in range(12)]))[0] == Fraction(66, 5)
+    model = preset_cyclic(6)
+    v = orbifold_mukai_vector(model, BUILTIN_CLASSES["TX"](model))
+    assert orbifold_mukai_pairing(model, v, v) == -12
+    assert wps_relation_element((2, 3, 4)).is_zero()
+    assert wps_euler_class_tangent((1, 1, 1)) == projective_space_euler_class(2)
+    f = GroupRingElement(5, [1, Fraction(1, 2), 0, -3, 2])
+    assert (f * f * f).coeffs == (f * (f * f)).coeffs
 
 
 def test_products_retain_no_memory(retained_bytes):

@@ -208,3 +208,10 @@ def test_imports_are_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
                 hidden.append(f"{path.name}:{node.lineno}")
     assert hidden == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use later syntax
+    # (`except*`, `type X = ...`); the 3.10 grammar rejects both
+    for path in sorted(Path(orbk3.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

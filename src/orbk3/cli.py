@@ -4,10 +4,10 @@ Every number is printed exactly: rationals as p/q, cyclotomic values in the
 `c[L]: ...` format.  Each subcommand returns (JSON payload, text) and `main`
 prints one of them.  A subcommand fails by raising; `main` maps the exception
 type to the exit code and one stderr line: 0 success; 2 usage or schema error
-("error: ..."), also for model or class files whose pairing is not rational;
-3 model-integrity failure, a unit identity that is not 1, rational or not
-("model integrity failure: ..."); 4 internal-consistency failure
-("internal consistency failure: ...").
+("error: ..."), also for model or class files whose pairing is not rational
+or is too long to print; 3 model-integrity failure, a unit identity that is
+not 1, rational or not ("model integrity failure: ..."); 4 internal-consistency
+failure ("internal consistency failure: ...").
 
 --model and --preset are exclusive.  Values of field orders L1, ..., Lk meet
 in Q(zeta_M), M = lcm(L1, ..., Lk); a computation that would build a field of
@@ -60,8 +60,9 @@ EXIT_MODEL = 3
 EXIT_INTERNAL = 4
 
 # Size limits on integer arguments, so that every accepted argv has a bounded cost.  Whole-process
-# `python -m orbk3.cli` wall time at the limits (2-vCPU x86-64, Python 3.11.7): parseval 0.5 s,
-# hilb-enum 0.6-0.9 s; wps-euler 0.2-0.3 s on 8,8,8,8,8,8,8,8 and 0.9-1.4 s on 5,6,7,8,9,9,10,10.
+# `python -m orbk3.cli` wall time at the limits (2-vCPU x86-64, Python 3.11.7; `--version` takes
+# 0.14 s): parseval 0.2-0.35 s, hilb-enum 0.2-0.35 s; wps-euler 0.1 s on 8,8,8,8,8,8,8,8 and
+# 0.6-1.1 s on 5,6,7,8,9,9,10,10.
 PARSEVAL_MAX_N = 12
 PARSEVAL_MAX_TRIALS = 100
 HILB_MAX_LENGTH = 6
@@ -72,6 +73,9 @@ WPS_MAX_WEIGHT_SUM = 64
 # Digits of an integer in a JSON document or an integer list, as of a rational in `c[L]: ...` text:
 # the square of such a value prints within Python's 4300-digit limit on int strings.
 MAX_INT_DIGITS = 1000
+# Digits of the numerator or denominator of a printed pairing; 2 - pairing has at most one more,
+# so both print within Python's limit.
+_MAX_PRINTED_DIGITS = 4000
 
 
 def _bounded_int(text: str) -> int:
@@ -153,6 +157,10 @@ def cmd_dim(args):
         if builtin and not args.model:
             raise  # a preset with a built-in class is rational by construction
         raise UsageError(f"the pairing of this model and class is not rational: {exc}") from exc
+    if max(abs(pairing.numerator), pairing.denominator) >= 10**_MAX_PRINTED_DIGITS:
+        raise UsageError(
+            f"the pairing has a numerator or denominator of more than {_MAX_PRINTED_DIGITS} digits"
+        )
     dim = 2 - pairing
     return (
         {"pairing": str(pairing), "dimension": str(dim)},

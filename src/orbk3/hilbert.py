@@ -2,16 +2,20 @@
 
 Specialized machinery for the Nikulin-involution case (eight half-points,
 classes indexed by (n, m_1..m_8)) plus the general ADE/quiver dimension
-formula d = 2n + sum_i D_i^t M_i D_i over negative Cartan matrices.
+formula d = 2n + sum_i D_i^t M_i D_i over negative Cartan matrices.  Each
+mu_2 dimension is cross-checked against the orbifold Mukai pairing, a whole
+`enumerate_mu2` table over one evaluation of the sector weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import isqrt
 
-from .hrr import OrbifoldMukaiVector, orbifold_mukai_pairing
+from .hrr import OrbifoldMukaiVector, _orbifold_pairings, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
 from .lattice import MukaiVector
 from .polyring import integer, integers
@@ -64,16 +68,20 @@ def omv_of_class_mu2(c: HilbClassMu2) -> OrbifoldMukaiVector:
     )
 
 
-def dim_mu2(c: HilbClassMu2) -> int:
-    """d = 2(n - sum m_i^2), cross-checked against 2 - <v~(n,m)^2>."""
+def _checked_dim(c: HilbClassMu2, pairing: Fraction) -> int:
+    """d = 2(n - sum m_i^2), once it equals 2 - pairing, the pairing being <v~(n,m)^2>."""
     direct = 2 * (c.n - sum(mi * mi for mi in c.m))
-    omv = omv_of_class_mu2(c)
-    via_pairing = 2 - orbifold_mukai_pairing(mu2_model(), omv, omv)
-    if via_pairing != direct:
+    if (via_pairing := 2 - pairing) != direct:
         raise CrossCheckError(
             f"dimension mismatch for {c}: quadratic form {direct}, pairing {via_pairing}"
         )
     return direct
+
+
+def dim_mu2(c: HilbClassMu2) -> int:
+    """d = 2(n - sum m_i^2), cross-checked against 2 - <v~(n,m)^2>."""
+    omv = omv_of_class_mu2(c)
+    return _checked_dim(c, orbifold_mukai_pairing(mu2_model(), omv, omv))
 
 
 @dataclass(frozen=True)
@@ -111,19 +119,19 @@ def enumerate_mu2(length: int) -> list[EnumerationRow]:
     """Exhaustive solution tables S(l, n) = {m : sum m_i = l - 2n, sum m_i^2 <= n}.
 
     Rows with an empty solution set are omitted; dimensions are listed in
-    the (deterministic lexicographic) order of the solutions.
+    the (deterministic lexicographic) order of the solutions.  Every class is
+    cross-checked as in `dim_mu2`, over one evaluation of the sector weights.
     """
     length = integer(length)
     if length < 0:
         raise HilbertError("length must be non-negative")
-    rows = []
-    for n in range(0, length + 1):
-        sols = tuple(sorted(_vectors_with_sum_and_norm(length - 2 * n, n, 8)))
-        if not sols:
-            continue
-        dims = tuple(dim_mu2(HilbClassMu2(n, m)) for m in sols)
-        assert all(d >= 0 and d % 2 == 0 for d in dims)
-        rows.append(EnumerationRow(length, n, len(sols), dims, sols))
+    table = [(n, sols) for n in range(length + 1)
+             if (sols := tuple(sorted(_vectors_with_sum_and_norm(length - 2 * n, n, 8))))]
+    classes = [HilbClassMu2(n, m) for n, sols in table for m in sols]
+    omvs = [omv_of_class_mu2(c) for c in classes]
+    dims = iter(map(_checked_dim, classes, _orbifold_pairings(mu2_model(), zip(omvs, omvs))))
+    rows = [EnumerationRow(length, n, len(sols), tuple(islice(dims, len(sols))), sols) for n, sols in table]
+    assert all(d >= 0 and d % 2 == 0 for row in rows for d in row.dims)
     return rows
 
 

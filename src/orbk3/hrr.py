@@ -13,7 +13,9 @@ with all arithmetic in a cyclotomic field, so results are exact rationals
 whenever they are rational (and an ExactnessError otherwise).  The twisted
 sum is accumulated once, in Q[x]/(x^L - 1) with L the lcm of the weight and
 entry orders, and reduced mod Phi_L once (`cyclotomic.sesquilinear_sum`);
-it is then halved and the untwisted term <v, w>_X / |G| added once.
+it is then halved and the untwisted term <v, w>_X / |G| added once.  A batch
+of pairs, such as a whole `hilbert.enumerate_mu2` table, shares one evaluation
+of the sector weights.
 """
 
 from __future__ import annotations
@@ -75,13 +77,19 @@ def orbifold_mukai_vector(model: K3GModel, x: EquivariantClass) -> OrbifoldMukai
     return x
 
 
-def orbifold_mukai_pairing(
-    model: K3GModel, v: OrbifoldMukaiVector, w: OrbifoldMukaiVector
-) -> Fraction:
-    v, w = orbifold_mukai_vector(model, v), orbifold_mukai_vector(model, w)
-    twisted = sesquilinear_sum(zip(model.sector_weights(), v.local_chars, w.local_chars))
-    untwisted = Fraction(mukai_pairing(model.lattice, v.mukai, w.mukai), model.group.order)
-    return (twisted * Fraction(1, 2) + untwisted).as_rational()
+def _orbifold_pairings(model: K3GModel, pairs) -> list[Fraction]:
+    """<v~, w~> for each (v, w) in pairs, all over one evaluation of the sector weights."""
+    pairs = [(orbifold_mukai_vector(model, v), orbifold_mukai_vector(model, w)) for v, w in pairs]
+    weights, pairings = model.sector_weights(), []
+    for v, w in pairs:
+        twisted = sesquilinear_sum(zip(weights, v.local_chars, w.local_chars))
+        untwisted = Fraction(mukai_pairing(model.lattice, v.mukai, w.mukai), model.group.order)
+        pairings.append((twisted * Fraction(1, 2) + untwisted).as_rational())
+    return pairings
+
+
+def orbifold_mukai_pairing(model: K3GModel, v: OrbifoldMukaiVector, w: OrbifoldMukaiVector) -> Fraction:
+    return _orbifold_pairings(model, [(v, w)])[0]
 
 
 def euler_pairing(model: K3GModel, x: EquivariantClass, y: EquivariantClass) -> Fraction:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbk3
-from orbk3 import cli, hilbert
+from orbk3 import cli
 from orbk3.cli import main
 from orbk3.cyclotomic import ExactnessError
 from orbk3.hrr import BUILTIN_CLASSES, tangent_bundle_class
@@ -208,6 +209,10 @@ MALFORMED_INPUTS = {
     "mukai-2500-digits": ("--class", ("mukai",), {"r": int("9" * 2500), "c1": [0], "s": int("9" * 2500)}),
     "ample-and-c1-2500-digits": ["--gram", "[[2]]", "--ample", "9" * 2500, "--c1", "9" * 2500],
     "gram-entry-1001-digits": ["--gram", f"[[{'8' * 1001}]]"],
+    # eight entries 1/q with distinct 1000-digit q: the pairing has a denominator of ~16000 digits
+    "pairing-beyond-4000-digits": (
+        "--class", ("twisted",), [f"1/{random.Random(i).randrange(10**999, 10**1000)}" for i in range(8)]
+    ),
 }
 
 
@@ -248,7 +253,8 @@ def test_undecodable_model_file_exits_2(capsys, tmp_path, content):
 
 
 def test_dimension_cross_check_failure_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(hilbert, "orbifold_mukai_pairing", lambda model, v, w: 1000)
+    # zero sector weights drop the twisted sum, so the pairing misses every dimension of the table
+    monkeypatch.setattr(K3GModel, "sector_weights", lambda model: (0,) * len(model.sectors))
     code, _, err = run(capsys, "hilb-enum", "--length", "2")
     assert code == 4
     assert err.startswith("internal consistency failure: dimension mismatch")

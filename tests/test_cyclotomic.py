@@ -95,6 +95,19 @@ def test_trig_identity_full_range():
         assert sum_inverse_one_minus_cos(n) == Fraction(n * n - 1, 6)
 
 
+def test_trace_of_the_weight_core_is_jordans_totient():
+    # Tr 1/(1 - Re zeta_m) = J_2(m) / 6, J_2(m) = m^2 prod_{p | m} (1 - p^-2), here in integers only
+    for m in range(2, 121):
+        j2, rest, p = m * m, m, 2
+        while rest > 1:
+            if rest % p == 0:
+                j2 = j2 // (p * p) * (p * p - 1)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        assert inverse_one_minus_re(root_of_unity(m)).trace() == Fraction(j2, 6), m
+
+
 def test_trig_sum_matches_the_sum_term_by_term():
     # the definition: one 1/(1 - Re zeta_n^k) per k, summed in Q(zeta_n)
     for n in range(2, 51):

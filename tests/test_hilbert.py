@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbk3.hilbert import (
+    EnumerationRow,
     HilbClassMu2,
     HilbertError,
     ade_form,
@@ -16,6 +17,7 @@ from orbk3.hilbert import (
     omv_of_class_mu2,
 )
 from orbk3.hrr import euler_pairing, moduli_dimension
+from orbk3.inertia import K3GModel
 
 
 def test_class_validation():
@@ -100,6 +102,45 @@ def test_dim_agrees_with_moduli_dimension(n, m):
     cls = omv_of_class_mu2(c)
     assert moduli_dimension(model, cls) == dim_mu2(c)
     assert euler_pairing(model, cls, cls) == 2 - dim_mu2(c)
+
+
+def test_enumeration_matches_per_class_dimensions():
+    # the table's one batch of pairings against one dim_mu2 per class and the quadratic form
+    for length in range(7):
+        rows = enumerate_mu2(length)
+        per_class = [
+            EnumerationRow(length, r.n, r.count, tuple(dim_mu2(HilbClassMu2(r.n, m)) for m in r.solutions),
+                           r.solutions)
+            for r in rows
+        ]
+        direct = [
+            EnumerationRow(length, r.n, len(r.solutions),
+                           tuple(2 * (r.n - sum(x * x for x in m)) for m in r.solutions), r.solutions)
+            for r in rows
+        ]
+        assert rows == per_class == direct, length
+
+
+def test_one_weight_evaluation_per_table_and_per_class(monkeypatch):
+    calls, weights = [], K3GModel.sector_weights
+
+    def counted(model):
+        calls.append(model)
+        return weights(model)
+
+    mu2_model()  # the cached model is built before the count starts
+    monkeypatch.setattr(K3GModel, "sector_weights", counted)
+    for length in range(7):
+        calls.clear()
+        enumerate_mu2(length)
+        assert len(calls) == 1, length
+    # a single class evaluates the weights itself, every time: nothing is kept between calls
+    calls.clear()
+    c = HilbClassMu2(1, (0,) * 8)
+    dim_mu2(c)
+    dim_mu2(c)
+    enumerate_mu2(2)
+    assert len(calls) == 3
 
 
 def test_enumeration_negative_length():

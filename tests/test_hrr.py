@@ -20,8 +20,10 @@ from orbk3.cyclotomic import (
     root_of_unity,
 )
 from orbk3.hrr import (
+    BUILTIN_CLASSES,
     EquivariantClass,
     SectorMismatchError,
+    _orbifold_pairings,
     euler_pairing,
     generic_point_class,
     moduli_dimension,
@@ -171,6 +173,13 @@ def test_self_pairing_of_builtin_classes_is_rational_integer():
             value = euler_pairing(model, cls(model), cls(model))
             assert isinstance(value, Fraction)
             assert value.denominator == 1
+
+
+def test_pairing_is_the_batch_pairing_of_one_pair():
+    for model in [trivial_model()] + [preset_cyclic(n) for n in range(2, 9)]:
+        classes = [make(model) for make in BUILTIN_CLASSES.values()]
+        pairs = [(x, y) for x in classes for y in classes]
+        assert _orbifold_pairings(model, pairs) == [orbifold_mukai_pairing(model, x, y) for x, y in pairs]
 
 
 def test_equivariant_class_json_round_trip():

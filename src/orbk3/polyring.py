@@ -4,14 +4,13 @@ Polynomials are plain tuples of Fractions in ascending degree, with trailing
 zeros stripped; the zero polynomial is the empty tuple.  A residue in Q[x]/(m)
 is exactly deg m coefficients, padded with zeros.  `QuotientRingElement` does
 all residue arithmetic; Q(zeta_L) and Z[x]/(x^n - 1) are subclasses of it.
-Division, inversion and reduction run on integer numerators, each operand an
-integer vector over one denominator, through one pseudo-division routine in
-Z[x], `_pseudo_divmod`.  `QuotientRing` is the one place a residue is built: it
-keeps its modulus's integer numerators, and `_residues` reduces integer rows,
-builds no quotient and makes one Fraction per distinct value; `poly_divmod` is
-the public Q[x] division.  `integer` and `integers` are the one integer
-coercion of every loader, and `poly` the one exact-coefficient coercion: a
-coefficient is an int or a Fraction; a bool, float, str or other type raises TypeError.
+`QuotientRing` is the one place a residue is built and the one division: it
+keeps its modulus's integer numerators, and `_residues` reduces integer rows
+over one denominator by `_pseudo_divmod` in Z[x], with no quotient and one
+Fraction per distinct value; `poly_inverse_mod` inverts on the same integer
+rows.  `integer` and `integers` are the one integer coercion of every loader,
+and `poly` the one exact-coefficient coercion: a coefficient is an int or a
+Fraction; a bool, float, str or other type raises TypeError.
 """
 
 from __future__ import annotations
@@ -80,23 +79,6 @@ def poly_fold(p: Sequence[Fraction], e: int, n: int) -> Coeffs:
     return tuple(out)
 
 
-def poly_divmod(p: Coeffs, m: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Exact division with remainder over Q, by pseudo-division in Z[x].
-
-    Write p = P/d and m = M/e with P, M integral (`_numerators`);
-    `_pseudo_divmod` gives S*P = Q*M + R, so the quotient is Q*e/(d*S) and
-    the remainder R/(d*S).  For a monic modulus (Phi_L, x^n - 1 and every
-    modulus the library builds) S is 1.  No Fraction is built until the end.
-    Raises ZeroDivisionError on a zero divisor.
-    """
-    if not m:
-        raise ZeroDivisionError("polynomial division by zero")
-    R, d = _numerators(p)
-    M, e = _numerators(m)
-    Q, R, S = _pseudo_divmod(R, M)
-    return _fractions(Q, e, d * S), _fractions(R, 1, d * S)
-
-
 def _pseudo_divmod(R: list[int], M: Sequence[int]) -> tuple[list[int], list[int], int]:
     """(Q, R, S) with S*P = Q*M + R and deg R < deg M, for integer vectors P and M.
 
@@ -134,36 +116,20 @@ def _numerators(p: Coeffs) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in p], d
 
 
-def _fractions(P: Sequence[int], num: int, den: int) -> Coeffs:
-    """The polynomial P*num/den for an integer vector P: trailing zeros stripped, one Fraction each."""
-    k = len(P)
-    while k and not P[k - 1]:
-        k -= 1
-    return tuple([Fraction(num * x, den) for x in P[:k]])
+def poly_inverse_mod(A: list[int], M: Sequence[int]) -> tuple[list[int], int]:
+    """(S, c) with S*A = c mod M, c a nonzero integer: the inverse of A/d is d*S/c.
 
-
-def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
-    """The inverse of a in Q[x]/(m), by a fraction-free extended Euclid.
-
-    a = A/d with A in Z[x].  The remainder sequence of (m, A) runs in Z[x]:
-    each step is one `_pseudo_divmod(r0, r1) = (Q, r, S)`, so r = S*r0 - Q*r1,
-    and the cofactor of A is s = S*s0 - Q*s1; r and s are then divided by
-    their joint content (the primitive remainder sequence, Collins 1967).  The
-    invariant is r = s*A mod m; the last nonzero remainder is a constant c, so
-    the inverse is d*s/c.  The cofactor of m is never needed and not computed.
-
-    Raises ZeroDivisionError when a = 0 mod m, and ValueError when m is a
-    constant or gcd(a, m) is not.
+    A is a canonical residue's integer numerator, trailing zeros stripped.  The
+    remainder sequence of (M, A) runs in Z[x]: each step is one
+    `_pseudo_divmod(r0, r1) = (Q, r, S)`, so r = S*r0 - Q*r1, and the cofactor
+    of A is s = S*s0 - Q*s1; r and s are then divided by their joint content
+    (the primitive remainder sequence, Collins 1967).  The invariant is
+    r = s*A mod M, and the last nonzero remainder is c.  The cofactor of M is
+    not computed.  ZeroDivisionError when A = 0; ValueError when gcd(A, M) is not constant.
     """
-    if len(m) < 2:
-        raise ValueError("modulus must have degree >= 1")
-    if len(a) >= len(m):
-        a = poly_divmod(a, m)[1]
-    if not a:
+    if not A:
         raise ZeroDivisionError("inversion of zero modulo m")
-    r0, s0 = _numerators(m)[0], []
-    r1, d = _numerators(a)
-    s1 = [1]
+    r0, s0, r1, s1 = list(M), [], A, [1]
     while len(r1) > 1:
         # r0 is consumed: the sequence never reads it again
         Q, r, S = _pseudo_divmod(r0, r1)
@@ -178,7 +144,7 @@ def poly_inverse_mod(a: Coeffs, m: Coeffs) -> Coeffs:
             r = [x // content for x in r]
             s = [x // content for x in s]
         r0, s0, r1, s1 = r1, s1, r, s
-    return _fractions(s1, d, r1[0])
+    return s1, r1[0]
 
 
 def monomial(k: int) -> Coeffs:
@@ -317,7 +283,11 @@ class QuotientRingElement:
 
     def inverse(self):
         """Multiplicative inverse; ZeroDivisionError for zero, ValueError for a zero divisor."""
-        return self._new(self.ring.residue(poly_inverse_mod(poly(self.coeffs), self.ring.modulus)))
+        A, d = _numerators(self.coeffs)
+        while A and not A[-1]:
+            A.pop()
+        S, c = poly_inverse_mod(A, self.ring._integer_modulus)
+        return self._new(self.ring._residues([[d * x for x in S]], c)[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)

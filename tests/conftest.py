@@ -29,12 +29,13 @@ def exported_callables() -> dict:
 
 @pytest.fixture
 def inverse_calls(monkeypatch) -> list:
-    """The field degree of every call to the one inversion kernel, `poly_inverse_mod`."""
+    """The field degree of every call to the one inversion kernel, `poly_inverse_mod(A, M)`:
+    A a residue's integer numerator and M the modulus's, so the degree is len(M) - 1."""
     calls, inverse = [], polyring.poly_inverse_mod
 
-    def counted(a, m):
-        calls.append(len(m) - 1)
-        return inverse(a, m)
+    def counted(A, M):
+        calls.append(len(M) - 1)
+        return inverse(A, M)
 
     monkeypatch.setattr(polyring, "poly_inverse_mod", counted)
     return calls

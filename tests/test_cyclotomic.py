@@ -25,17 +25,18 @@ from orbk3.cyclotomic import (
     sesquilinear_sum,
     sum_inverse_one_minus_cos,
 )
-from orbk3.polyring import monomial, poly, poly_divmod, poly_fold, poly_mul
+from orbk3.polyring import monomial, poly, poly_fold
 
 
 def test_phi8_by_explicit_division():
-    # independent derivation: x^8 - 1 divided by Phi_1 * Phi_2 * Phi_4
-    x8_minus_1 = poly([-1, 0, 0, 0, 0, 0, 0, 0, 1])
-    denom = poly_mul(poly_mul(poly([-1, 1]), poly([1, 1])), poly([1, 0, 1]))
-    quotient, rem = poly_divmod(x8_minus_1, denom)
-    assert rem == ()
-    assert quotient == poly([1, 0, 0, 0, 1])  # x^4 + 1
-    assert cyclotomic_polynomial(8) == quotient
+    # independent derivation: x^8 - 1 divided by Phi_1 * Phi_2 * Phi_4, in sympy
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    quotient, rem = sympy.div(x**8 - 1, (x - 1) * (x + 1) * (x**2 + 1), x)
+    assert rem == 0
+    assert quotient == x**4 + 1
+    coeffs = sympy.Poly(quotient, x).all_coeffs()[::-1]
+    assert cyclotomic_polynomial(8) == tuple(Fraction(int(c)) for c in coeffs)
 
 
 def test_root_of_unity_basics():
@@ -106,6 +107,19 @@ def test_trace_of_the_weight_core_is_jordans_totient():
                     rest //= p
             p += 1
         assert inverse_one_minus_re(root_of_unity(m)).trace() == Fraction(j2, 6), m
+
+
+def test_fourier_dedekind_sum_in_closed_form():
+    # sum_{k=1}^{m-1} zeta_m^(jk) / |1 - zeta_m^k|^2 = (m^2 - 1)/12 - j(m - j)/2 for 0 <= j < m
+    # (Beck-Robins, ch. 8), exactly in Q(zeta_m); |1 - z|^2 = (1 - z) * conj(1 - z)
+    for m in range(2, 21):
+        zetas = [root_of_unity(m, k) for k in range(1, m)]
+        weights = [((1 - z) * (1 - z).conjugate()).inverse() for z in zetas]
+        for j in range(m):
+            total = Cyclotomic.zero(m)
+            for k, w in enumerate(weights, 1):
+                total = total + root_of_unity(m, j * k) * w
+            assert total.as_rational() == Fraction(m * m - 1, 12) - Fraction(j * (m - j), 2), (m, j)
 
 
 def test_trig_sum_matches_the_sum_term_by_term():
@@ -260,8 +274,8 @@ def test_cyclotomic_polynomial_matches_sympy():
 @pytest.mark.parametrize("n", [1, 2, 9, 12, 30, 128, 210, 243, 360, 720, 840])
 def test_cyclotomic_polynomial_divides_once_per_prime(monkeypatch, fold_calls, n):
     # from a cleared cache, Phi_n costs one exact division per distinct prime of n; the
-    # kernel is counted under both names, so a division through `poly_divmod` counts too.
-    # Each x -> x^p, and the x -> x^(n/r) at the end, is a call to `poly_fold`
+    # kernel is counted under both names it is imported by.  Each x -> x^p, and the
+    # x -> x^(n/r) at the end, is a call to `poly_fold`
     calls, divmod_ = [], polyring._pseudo_divmod
 
     def counted(R, M):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from orbk3 import inertia
 from orbk3.cyclotomic import AmbientFieldError, Cyclotomic, ExactnessError, inverse_one_minus_re
-from orbk3.groups import abelian_character_table
+from orbk3.groups import Character, abelian_character_table, invariant_dimension
 from orbk3.hrr import EquivariantClass, euler_pairing, structure_sheaf_class
 from orbk3.inertia import (
     FIXED_POINT_TABLE,
@@ -249,6 +249,22 @@ def test_preset_point_count_per_class(n):
     for index, (_, points) in per_class_sums(model).items():
         rep = model.classes[index + 1].representative
         assert points == fixed_points_closed_form(model.group.element_orders[rep])
+
+
+@pytest.mark.parametrize(
+    "n,invariant,orbits", [(2, 16, 8), (3, 12, 12), (4, 10, 14), (5, 8, 16), (6, 8, 16), (7, 6, 18), (8, 6, 18)]
+)
+def test_preset_orbifold_euler_number_is_24(n, invariant, orbits):
+    # the stringy Euler number of the crepant resolution: <chi, 1> + (twisted orbits) = e(Y) = 24,
+    # chi the Mukai character, chi(g) = #X^g (Dixon-Harvey-Vafa-Witten 1985; Hirzebruch-Hofer 1990)
+    model = preset_cyclic(n)
+    group = model.group
+    points = [fixed_points_closed_form(group.element_orders[c.representative]) for c in group.classes]
+    chi = Character(group, points)
+    assert chi.degree() == 24
+    assert invariant_dimension(chi) == invariant
+    assert sum(s.multiplicity for s in model.sectors) == orbits
+    assert invariant + orbits == 24
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbk3 import polyring
 from orbk3.cyclotomic import Cyclotomic, euler_phi, root_of_unity, sesquilinear_sum
 from orbk3.hrr import BUILTIN_CLASSES, orbifold_mukai_pairing, orbifold_mukai_vector
 from orbk3.inertia import preset_cyclic
@@ -16,7 +15,6 @@ from orbk3.polyring import (
     QuotientRing,
     monomial,
     poly,
-    poly_divmod,
     poly_fold,
     poly_inverse_mod,
     poly_mul,
@@ -37,22 +35,19 @@ polys = st.lists(
 def test_divmod_worked_example():
     # x^5 mod (x^2 - 1)(x^3 - 1) = x^5 - x^3 - x^2 + 1
     modulus = poly_mul(poly([-1, 0, 1]), poly([-1, 0, 0, 1]))
-    q, r = poly_divmod(monomial(5), modulus)
-    assert q == poly([1])
-    assert r == poly([-1, 0, 1, 1])  # x^3 + x^2 - 1
+    assert QuotientRing(modulus).residue(monomial(5)) == (-1, 0, 1, 1, 0)  # x^3 + x^2 - 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_divmod_is_exact_division(p, m):
-    if not m:
-        with pytest.raises(ZeroDivisionError):
-            poly_divmod(p, m)
+    # the ring is the one divider: its residue is sympy's remainder, zero-padded to deg m
+    if len(m) < 2:
+        with pytest.raises(ValueError):
+            QuotientRing(m)
         return
     sympy = pytest.importorskip("sympy")
-    q, r = poly_divmod(p, m)
-    assert _to_sympy(sympy, q) * _to_sympy(sympy, m) + _to_sympy(sympy, r) == _to_sympy(sympy, p)
-    assert len(r) < len(m)
+    assert QuotientRing(m).residue(p) == _remainder(sympy, p, m)
 
 
 coefficients = st.fractions(min_value=-7, max_value=7, max_denominator=6)
@@ -76,28 +71,40 @@ def _from_sympy(a):
     return poly(Fraction(int(c.p), int(c.q)) for c in reversed(a.all_coeffs()))
 
 
+def _remainder(sympy, p, m):
+    """sympy's remainder of p by m, zero-padded to deg m coefficients: the canonical residue."""
+    r = _from_sympy(_to_sympy(sympy, p).rem(_to_sympy(sympy, m)))
+    return r + (0,) * (len(m) - 1 - len(r))
+
+
 @settings(max_examples=200, deadline=None)
 @given(division_problems())
 def test_divmod_matches_sympy(problem):
+    # non-monic, negative and fractional moduli; a constant modulus is no ring
     sympy = pytest.importorskip("sympy")
     p, m = problem
-    q, r = _to_sympy(sympy, p).div(_to_sympy(sympy, m))
-    assert poly_divmod(p, m) == (_from_sympy(q), _from_sympy(r))
+    if len(m) < 2:
+        with pytest.raises(ValueError):
+            QuotientRing(m)
+        return
+    residue = QuotientRing(m).residue(p)
+    assert residue == _remainder(sympy, p, m)
+    assert all(type(c) is Fraction for c in residue)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(division_problems(), min_size=1, max_size=4), st.integers(1, 12))
 def test_residue_is_the_padded_remainder(problems, d):
-    # non-monic, fractional moduli: the ring's integer-row reduction against `poly_divmod`,
-    # which `test_divmod_matches_sympy` checks; several rows over one denominator d share a
-    # scale, the lcm of their pseudo-division scales
+    # non-monic, fractional moduli: the ring's integer-row reduction against sympy's
+    # remainder; several rows over one denominator d share a scale, the lcm of their
+    # pseudo-division scales
+    sympy = pytest.importorskip("sympy")
     m = problems[0][1]
     assume(len(m) > 1)
     ring = QuotientRing(m)
     expected = []
     for p, _ in problems:
-        r = poly_divmod(p, m)[1]
-        expected.append(r + (0,) * (ring.degree - len(r)))
+        expected.append(_remainder(sympy, p, m))
         assert ring.residue(p) == expected[-1]
         assert all(type(c) is Fraction for c in ring.residue(p))
     rows = [[c.numerator * (720720 // c.denominator) for c in p] for p, _ in problems]
@@ -107,12 +114,9 @@ def test_residue_is_the_padded_remainder(problems, d):
     assert all(type(c) is Fraction for r in residues for c in r)
 
 
-def test_residue_paths_never_divide(monkeypatch):
-    # every residue comes from the ring's integer rows: Q[x] division is never called
-    def forbidden(p, m):
-        raise AssertionError("poly_divmod on a residue path")
-
-    monkeypatch.setattr(polyring, "poly_divmod", forbidden)
+def test_residue_paths_never_divide():
+    # every residue comes from the ring's integer rows, the one division: products,
+    # inverses, conjugates, embeddings, transforms and K-ring relations agree through it
     for L in (1, 2, 3, 5, 8, 12, 30):
         a = Cyclotomic(L, [Fraction(k - L, k + 1) for k in range(2 * L + 1)])
         b = root_of_unity(L) + Fraction(1, 3)
@@ -157,13 +161,6 @@ def test_products_retain_no_memory(retained_bytes):
     assert retained_bytes(dft_inverse, vectors) < 64 * 1024
 
 
-def _gcd_over_q(a, b):
-    # reference: plain Euclid with Fraction long division
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return a
-
-
 @settings(max_examples=150, deadline=None)
 @given(polys, polys, polys, st.booleans())
 def test_inverse_mod(a, m, common, share):
@@ -173,29 +170,65 @@ def test_inverse_mod(a, m, common, share):
         a, m = poly_mul(a, common), poly_mul(m, common)
     if len(m) < 2:
         with pytest.raises(ValueError):
-            poly_inverse_mod(a, m)
-    elif not poly_divmod(a, m)[1]:
+            QuotientRing(m).reduce(a).inverse()
+        return
+    ring = QuotientRing(m)
+    element = ring.reduce(a)
+    if element.is_zero():
         with pytest.raises(ZeroDivisionError):
-            poly_inverse_mod(a, m)
-    elif len(_gcd_over_q(m, a)) > 1:
+            element.inverse()
+    elif _to_sympy(sympy, m).gcd(_to_sympy(sympy, a)).degree() > 0:
         with pytest.raises(ValueError):
-            poly_inverse_mod(a, m)
+            element.inverse()
     else:
-        inv = poly_inverse_mod(a, m)
-        assert len(inv) < len(m)
-        assert poly_divmod(poly_mul(a, inv), m)[1] == poly((1,))
+        inv = element.inverse()
+        assert element * inv == ring.one
+        assert all(type(c) is Fraction for c in inv.coeffs)
         # an oracle that shares no code with the kernel
-        assert inv == _from_sympy(sympy.invert(_to_sympy(sympy, a), _to_sympy(sympy, m)))
+        expected = _from_sympy(sympy.invert(_to_sympy(sympy, a), _to_sympy(sympy, m)))
+        assert inv.coeffs == expected + (0,) * (ring.degree - len(expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda M: M[-1]), st.data())
+def test_inverse_mod_on_integer_rows(M, data):
+    # the kernel's contract: S*A = c mod M for a canonical integer residue A, c a nonzero
+    # integer, checked in sympy; M is left as it was, and a shared factor raises ValueError
+    sympy = pytest.importorskip("sympy")
+    assume(len(M) > 1)
+    A = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=len(M) - 1).filter(lambda A: A[-1]))
+    modulus = list(M)
+
+    def to_sympy(P):
+        return sympy.Poly(P[::-1], sympy.Symbol("x"), domain=sympy.ZZ)
+
+    if to_sympy(M).gcd(to_sympy(A)).degree() > 0:
+        with pytest.raises(ValueError):
+            poly_inverse_mod(list(A), M)
+        return
+    S, c = poly_inverse_mod(list(A), M)
+    assert M == modulus
+    assert type(c) is int and c != 0 and all(type(s) is int for s in S)
+    assert len(S) < len(M)
+    assert (to_sympy(S) * to_sympy(A) - c).rem(to_sympy(M)).is_zero
+    with pytest.raises(ZeroDivisionError):
+        poly_inverse_mod([], M)
 
 
 def test_inverse_mod_worked_examples():
+    def inverse(a, m):
+        return QuotientRing(m).reduce(a).inverse().coeffs
+
     # (x + 1)(x - 1) = x^2 - 1 = 1 mod x^2 - 2
-    assert poly_inverse_mod(poly([1, 1]), poly([-2, 0, 1])) == poly([-1, 1])
-    # 1/2 x has inverse 2/x = 2x/3 mod x^2 - 3; a above the modulus degree is reduced first
-    assert poly_inverse_mod(poly([0, Fraction(1, 2)]), poly([-3, 0, 1])) == poly([0, Fraction(2, 3)])
-    assert poly_inverse_mod(poly([-3, 1, 1]), poly([-1, 1])) == poly([-1])
+    assert inverse([1, 1], [-2, 0, 1]) == (-1, 1)
+    # 1/2 x has inverse 2/x = 2x/3 mod x^2 - 3
+    assert inverse([0, Fraction(1, 2)], [-3, 0, 1]) == (0, Fraction(2, 3))
+    # a above the modulus degree is reduced first: x^2 + x - 3 = -1 mod x - 1
+    assert inverse([-3, 1, 1], [-1, 1]) == (-1,)
+    # on integer rows: (x + 1)(1 - x) = -1 mod x^2 - 2, so S = 1 - x and c = -1
+    assert poly_inverse_mod([1, 1], [-2, 0, 1]) == ([1, -1], -1)
     with pytest.raises(ValueError):
-        poly_inverse_mod(poly([-1, 1]), poly([-1, 0, 1]))  # gcd x - 1
+        inverse([-1, 1], [-1, 0, 1])  # gcd x - 1
 
 
 def test_fold_worked_examples():

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import runpy
 import types
+from collections import Counter
 from pathlib import Path
 
 import orbk3
@@ -173,9 +174,11 @@ def test_public_methods():
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # Benchmark span targets that name no callable of the library, so their spans read 0 calls:
-# inversion is `poly_inverse_mod`, and residue arithmetic is on `QuotientRingElement`.
+# inversion is `poly_inverse_mod`, division is `QuotientRing`'s, and residue arithmetic is on
+# `QuotientRingElement`.
 DEAD_SPAN_TARGETS = {
     ("polyring", "poly_xgcd"),
+    ("polyring", "poly_divmod"),
     ("cyclotomic", "Cyclotomic.__mul__"),
     ("cyclotomic", "Cyclotomic.__add__"),
     ("cyclotomic", "Cyclotomic.inverse"),
@@ -195,6 +198,38 @@ def test_benchmark_span_targets():
             if owner is None or vars(owner).get(fn_name) is None:
                 unresolved.add((module_name, attr))
     assert unresolved == DEAD_SPAN_TARGETS
+
+
+# Top-level names that nothing else under src/ reads and orbk3 does not export, with the reason
+# each stays in the library.
+UNREFERENCED = {
+    "projective_space_euler_class": "the parseval-kring benchmark workload calls it",
+    "character_table_to_json": "ROADMAP item 9 decides the character-table JSON",
+    "character_table_from_json": "ROADMAP item 9 decides the character-table JSON",
+    "direct_product": "ROADMAP item 8 builds Nikulin's abelian groups from it",
+}
+
+
+def _references(node) -> Counter:
+    """How often each name is read in node's tree, as a name or as an attribute."""
+    refs = (getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node))
+    return Counter(ref for ref in refs if isinstance(ref, str))
+
+
+def test_every_definition_is_used():
+    # each top-level def or class under src/orbk3 is read somewhere under src/ outside its
+    # own body, or is exported by orbk3; what only tests and the benchmark reach is listed
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(Path(orbk3.__file__).parent.glob("*.py"))]
+    everywhere = sum(map(_references, trees), Counter())
+    unused = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in vars(orbk3)
+        and everywhere[node.name] == _references(node)[node.name]
+    }
+    assert unused == set(UNREFERENCED)
 
 
 def test_imports_are_at_module_level():

@@ -24,9 +24,10 @@ by term (GAP's `cyclotom.c`, Breuer 1997).  `sesquilinear_sum` returns
 sum c*conj(a)*b over triples of mixed orders: each factor is embedded into
 Q[x]/(x^L - 1), L the lcm of all the orders, by one `poly_fold` (conjugation
 is the same fold with a negative exponent), the products accumulate there,
-and the sum is reduced mod Phi_L once.  The orbifold pairing runs on it, and the
-unit identity (`inertia.validate_identity`) on the same scheme: one inverse
-per eigenvalue order, Galois conjugates by `poly_fold`, one reduction mod Phi_L.
+and the sum is reduced mod Phi_L once.  The orbifold pairing and the pairing of
+transforms (`toystacks.weighted_inner_product`) run on it, and the unit identity
+(`inertia.validate_identity`) on the same scheme: one inverse per eigenvalue
+order, Galois conjugates by `poly_fold`, one reduction mod Phi_L.
 """
 
 from __future__ import annotations
@@ -255,17 +256,20 @@ def sesquilinear_sum(terms) -> Cyclotomic:
     """sum of c * conj(a) * b over (c, a, b) triples of Cyclotomics or rationals, exact.
 
     The sum lives in Q(zeta_L), L the lcm of all the orders (`_common_order`).  Each product is
-    taken in Q[x]/(x^L - 1), where x^L = 1, and folded into one length-L
-    accumulator; Phi_L divides x^L - 1, so one reduction mod Phi_L at the end
-    gives the same residue as reducing every term.
+    taken in Q[x]/(x^L - 1), where x^L = 1: c*conj(a) times each nonzero coefficient of the
+    folded b is added into one length-L accumulator; Phi_L divides x^L - 1, so one
+    reduction mod Phi_L at the end gives the same residue as reducing every term.
     """
     terms = [[Cyclotomic.coerce(x) for x in term] for term in terms]
     L = _common_order([x.L for term in terms for x in term])
     acc = [Fraction(0)] * L
     for c, a, b in terms:
         ca = poly_mul(poly_fold(c.coeffs, L // c.L, L), poly_fold(a.coeffs, -(L // a.L), L))
-        for k, x in enumerate(poly_mul(ca, poly_fold(b.coeffs, L // b.L, L))):
-            acc[k % L] += x
+        b_terms = [(j, y) for j, y in enumerate(poly_fold(b.coeffs, L // b.L, L)) if y]
+        for i, x in enumerate(ca):
+            if x:
+                for j, y in b_terms:
+                    acc[(i + j) % L] += x * y
     return Cyclotomic(L, acc)
 
 

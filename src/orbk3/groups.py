@@ -5,8 +5,8 @@ and the conjugacy data (classes, class_of, inverse_class, element_orders) is
 computed on first use and at most once.  A character is a group and one value
 per class in Q(zeta_E), E the exponent of the group, so inner products and
 invariant dimensions come out exact.  Only abelian character tables are
-computed internally; nonabelian tables (e.g. S3) are supplied externally
-and checked for one row per class and orthonormality.
+computed; `validate_orthogonality` checks any table of `Character` rows
+(e.g. S3's) exactly, for one row per class and orthonormality.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cyclotomic import AmbientFieldError, Cyclotomic, ExactnessError
-from .cyclotomic import format_cyclotomic, parse_cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity
 from .polyring import integer, integers
 
 
@@ -315,38 +314,8 @@ def invariant_dimension(chi: Character) -> Fraction:
     return dim
 
 
-def character_table_to_json(table) -> dict:
-    if not table:
-        raise GroupError("a character table has at least one character")
-    group = table[0].group
-    return {
-        "group": group.to_json(),
-        "characters": [[format_cyclotomic(v) for v in ch.values] for ch in table],
-    }
-
-
-def character_table_from_json(data: dict) -> tuple[Character, ...]:
-    for key in ("group", "characters"):
-        if not isinstance(data, dict) or key not in data:
-            raise GroupError(f"character table descriptor missing '{key}'")
-    rows = data["characters"]
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise GroupError("'characters' must be a list of lists")
-    group = FiniteGroup.from_json(data["group"])
-    try:
-        values = [[parse_cyclotomic(s) for s in row] for row in rows]
-    except ValueError as exc:
-        raise GroupError(f"bad character value: {exc}") from exc
-    table = tuple(Character(group, row) for row in values)
-    try:
-        validate_orthogonality(table)
-    except (AmbientFieldError, ExactnessError) as exc:  # orders meeting beyond 840, or an irrational pairing
-        raise GroupError(f"orthogonality check: {exc}") from exc
-    return table
-
-
 def validate_orthogonality(table) -> None:
-    """Check an externally supplied table: one row per conjugacy class, orthonormal rows.
+    """Check a table of characters exactly: one row per conjugacy class, orthonormal rows.
 
     Pairs j >= i only: <chi, psi> = <psi, chi> for any class functions (substitute
     g -> g^-1), so a row-major scan meets every failing pair first at j >= i.

@@ -69,8 +69,9 @@ def omv_of_class_mu2(c: HilbClassMu2) -> OrbifoldMukaiVector:
 
 
 def _checked_dim(c: HilbClassMu2, pairing: Fraction) -> int:
-    """d = 2(n - sum m_i^2), once it equals 2 - pairing, the pairing being <v~(n,m)^2>."""
-    direct = 2 * (c.n - sum(mi * mi for mi in c.m))
+    """d = 2(n - sum m_i^2), the ADE formula on eight A_1 points, once it equals 2 - pairing,
+    the pairing being <v~(n,m)^2>."""
+    direct = dim_ade(c.n, [(mi,) for mi in c.m], [ade_form("A", 1)] * 8)
     if (via_pairing := 2 - pairing) != direct:
         raise CrossCheckError(
             f"dimension mismatch for {c}: quadratic form {direct}, pairing {via_pairing}"

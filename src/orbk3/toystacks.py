@@ -7,8 +7,6 @@ and the stars-and-bars moduli count on B(mu_n).  The transform works on
 integer numerators: one `poly_fold` per output in Z, then the rows of all outputs
 go to the field's `QuotientRing._residues`: one reduction mod the monic integer
 Phi_n per output, and one Fraction per distinct value.
-The pairing of transforms, `weighted_inner_product`, stays on the Fraction
-arithmetic of `QuotientRingElement`.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity, sesquilinear_sum
 from .groups import Character, char_inner_product
 from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
 from .polyring import _numerators, poly, poly_fold, poly_mul
@@ -85,10 +83,7 @@ def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
     n = len(a) if n is None else integer(n)
     if n < 1:
         raise ToyStackError("n must be positive")
-    acc = Cyclotomic.zero()
-    for ai, bi in zip(a, b):
-        acc = acc + Cyclotomic.coerce(ai).conjugate() * Cyclotomic.coerce(bi)
-    return acc * Fraction(1, n)
+    return sesquilinear_sum((Fraction(1, n), ai, bi) for ai, bi in zip(a, b))
 
 
 def coefficient_pairing(f: GroupRingElement, g: GroupRingElement) -> Fraction:

@@ -135,6 +135,11 @@ RAISES_ROWS = (
     ("group-ring-rank-0", (ToyStackError, lambda: GroupRingElement(0, ()))),
     ("group-ring-monomial-rank-0", (ToyStackError, lambda: GroupRingElement.monomial(0, 1))),
     ("weighted-lengths", (ToyStackError, lambda: weighted_inner_product((1,), (1, 2)))),
+    # orders 29 and 31 meet in Q(zeta_899), beyond 840
+    ("weighted-orders-29-31", (
+        AmbientFieldError,
+        lambda: weighted_inner_product((root_of_unity(29),), (root_of_unity(31),)),
+    )),
     ("coefficient-pairing-ranks", (
         ToyStackError,
         lambda: coefficient_pairing(GroupRingElement(2, (1,)), GroupRingElement(3, (1,))),

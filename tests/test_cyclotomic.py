@@ -26,6 +26,7 @@ from orbk3.cyclotomic import (
     sum_inverse_one_minus_cos,
 )
 from orbk3.polyring import monomial, poly, poly_fold
+from orbk3.toystacks import weighted_inner_product
 
 
 def test_phi8_by_explicit_division():
@@ -359,6 +360,17 @@ def test_sesquilinear_sum_matches_the_sum_term_by_term(terms):
     orders = [x.L for term in terms for x in term if isinstance(x, Cyclotomic)]
     assert total.L == expected.L == lcm(1, *orders)
     assert total.coeffs == expected.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(kernel_factors, kernel_factors), max_size=4), st.integers(1, 12))
+def test_weighted_inner_product_matches_the_sum_term_by_term(pairs, n):
+    expected = Cyclotomic.zero()
+    for a, b in pairs:
+        expected = expected + Cyclotomic.coerce(a).conjugate() * b
+    expected = expected * Fraction(1, n)
+    total = weighted_inner_product([a for a, _ in pairs], [b for _, b in pairs], n)
+    assert (total.L, total.coeffs) == (expected.L, expected.coeffs)
 
 
 def test_equal_elements_collapse_in_a_set():

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbk3.groups as groups_module
-from orbk3.cyclotomic import Cyclotomic, ExactnessError, euler_phi, root_of_unity
+from orbk3.cyclotomic import AmbientFieldError, Cyclotomic, ExactnessError, euler_phi
+from orbk3.cyclotomic import format_cyclotomic, parse_cyclotomic, root_of_unity
 from orbk3.groups import (
     Character,
     FiniteGroup,
@@ -20,8 +21,6 @@ from orbk3.groups import (
     abelian_character_table,
     char_inner_product,
     char_inner_product_elementwise,
-    character_table_from_json,
-    character_table_to_json,
     conjugacy_classes,
     cyclic_group,
     direct_product,
@@ -44,6 +43,15 @@ ABELIAN_GROUPS = [
     direct_product(cyclic_group(3), cyclic_group(4)),
     direct_product(cyclic_group(2), cyclic_group(6)),
 ]
+
+
+def _rows(table) -> list[list[str]]:
+    """The rows of a character table in the `c[L]: ...` wire format."""
+    return [[format_cyclotomic(v) for v in ch.values] for ch in table]
+
+
+def _parsed(group, rows) -> tuple[Character, ...]:
+    return tuple(Character(group, [parse_cyclotomic(s) for s in row]) for row in rows)
 
 
 def s3_character_table():
@@ -252,17 +260,17 @@ def test_inner_product_semilinearity(g, data):
 
 def test_character_table_json_round_trip():
     table = abelian_character_table(direct_product(cyclic_group(2), cyclic_group(3)))
-    data = character_table_to_json(table)
-    back = character_table_from_json(data)
+    back = _parsed(table[0].group, json.loads(json.dumps(_rows(table))))
+    validate_orthogonality(back)
     assert back == table
 
 
 def test_character_table_json_rejects_broken_table():
     table = s3_character_table()
-    data = character_table_to_json(table)
-    data["characters"][2][1] = data["characters"][2][0]  # break orthogonality
+    rows = _rows(table)
+    rows[2][1] = rows[2][0]  # break orthogonality
     with pytest.raises(GroupError):
-        character_table_from_json(data)
+        validate_orthogonality(_parsed(table[0].group, rows))
 
 
 def test_group_json_round_trip():
@@ -483,72 +491,47 @@ def test_small_table_full_gram_matrix_is_identity(g):
 
 def test_character_table_json_is_unchanged():
     expected = json.loads((Path(__file__).parent / "data" / "character_tables.json").read_text())
-    assert character_table_to_json(abelian_character_table(cyclic_group(12))) == expected["cyclic_12"]
     z2_z6 = direct_product(cyclic_group(2), cyclic_group(6))
-    assert character_table_to_json(abelian_character_table(z2_z6)) == expected["c2_x_c6"]
     z2_z2_z6 = direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(6))
-    assert character_table_to_json(abelian_character_table(z2_z2_z6)) == expected["c2_x_c2_x_c6"]
     z4_z6 = _relabelled(direct_product(cyclic_group(4), cyclic_group(6)), 3)
-    assert character_table_to_json(abelian_character_table(z4_z6)) == expected["c4_x_c6_relabelled_3"]
+    groups = {"cyclic_12": cyclic_group(12), "c2_x_c6": z2_z6, "c2_x_c2_x_c6": z2_z2_z6,
+              "c4_x_c6_relabelled_3": z4_z6}
+    assert list(groups) == list(expected)
+    for key, g in groups.items():
+        table = abelian_character_table(g)
+        assert {"group": g.to_json(), "characters": _rows(table)} == expected[key]
 
 
-# -- externally supplied tables must be complete ------------------------------
+# -- a table must be complete, and its pairings must meet in a bounded field -------
 
 
 def test_incomplete_table_is_rejected():
-    g = symmetric_group_s3()
-    one_row = (trivial_character(g),)
+    one_row = (trivial_character(symmetric_group_s3()),)
     with pytest.raises(GroupError, match="one row per conjugacy class"):
         validate_orthogonality(one_row)
-    with pytest.raises(GroupError, match="one row per conjugacy class"):
-        character_table_from_json(character_table_to_json(one_row))
-    with pytest.raises(GroupError):
-        validate_orthogonality(())
 
 
 def test_empty_table_is_rejected():
-    data = character_table_to_json(s3_character_table())
-    data["characters"] = []
-    with pytest.raises(GroupError):
-        character_table_from_json(data)
-    with pytest.raises(GroupError):
-        character_table_to_json(())
+    for empty in ((), []):
+        with pytest.raises(GroupError, match="one row per conjugacy class"):
+            validate_orthogonality(empty)
 
 
-@pytest.mark.parametrize("key", ["group", "characters"])
-def test_table_descriptor_missing_key_is_rejected(key):
-    data = character_table_to_json(s3_character_table())
-    del data[key]
-    with pytest.raises(GroupError, match=key):
-        character_table_from_json(data)
-    with pytest.raises(GroupError):
-        character_table_from_json([])
-
-
-@pytest.mark.parametrize("rows", [5, [5], [[5]], ["c[1]: 1"], [["1/0"]], [["c[0]: 1"]]])
-def test_malformed_table_rows_raise_group_error(rows):
-    data = character_table_to_json(abelian_character_table(cyclic_group(1)))
-    data["characters"] = rows
-    with pytest.raises(GroupError):
-        character_table_from_json(data)
-
-
-def test_rows_meeting_beyond_840_raise_group_error_at_once():
-    # each value parses alone; together they would build Phi_703082
-    data = character_table_to_json(abelian_character_table(cyclic_group(2)))
-    data["characters"][0] = ["c[839]: 1", "c[838]: 1"]
+def test_rows_meeting_beyond_840_raise_ambient_field_error_at_once():
+    # each value is fine alone; together they would build Phi_703082
+    g = cyclic_group(2)
+    table = (Character(g, [root_of_unity(839), root_of_unity(838)]), abelian_character_table(g)[1])
     start = time.perf_counter()
-    with pytest.raises(GroupError, match=r"orthogonality check: orders \[838, 839\] meet in Q\(zeta_703082\)"):
-        character_table_from_json(data)
+    with pytest.raises(AmbientFieldError, match=r"orders \[838, 839\] meet in Q\(zeta_703082\)"):
+        validate_orthogonality(table)
     assert time.perf_counter() - start < 2.0
 
 
-def test_irrational_inner_product_raises_group_error():
-    data = character_table_to_json(abelian_character_table(cyclic_group(3)))
-    data["characters"][1] = ["1", "c[3]: 1*z", "1"]
-    message = r"orthogonality check: not a rational element: c\[3\]: -1/3 \+ -2/3\*z"
-    with pytest.raises(GroupError, match=message):
-        character_table_from_json(data)
+def test_irrational_inner_product_raises_exactness_error():
+    rows = _rows(abelian_character_table(cyclic_group(3)))
+    rows[1] = ["1", "c[3]: 1*z", "1"]
+    with pytest.raises(ExactnessError, match=r"not a rational element: c\[3\]: -1/3 \+ -2/3\*z"):
+        validate_orthogonality(_parsed(cyclic_group(3), rows))
 
 
 @pytest.mark.parametrize("labels", ["ab", {"a": 1, "b": 2}, [[1], [2]], ["a"], ["a", 2], []])

@@ -204,8 +204,7 @@ def test_benchmark_span_targets():
 # each stays in the library.
 UNREFERENCED = {
     "projective_space_euler_class": "the parseval-kring benchmark workload calls it",
-    "character_table_to_json": "ROADMAP item 9 decides the character-table JSON",
-    "character_table_from_json": "ROADMAP item 9 decides the character-table JSON",
+    "validate_orthogonality": "the exact orthogonality check of a table; tests and ROADMAP item 9 use it",
     "direct_product": "ROADMAP item 8 builds Nikulin's abelian groups from it",
 }
 

@@ -9,15 +9,23 @@ orders, with no arithmetic of orbk3: the unit identity
 and dim = 2 - <v~, v~> for O_X, a free orbit O_p and TX, where
 
     <v~, w~> = <v, w>_X / |G| + (1/2) sum mult * conj(v_ij) * w_ij / (|G_ij| (1 - Re lambda_ij)).
+
+The transform on B(mu_n) and the K-rings of weighted projective stacks are checked the
+same way, on coefficient tuples alone: f_check(k) is f(x^k) mod Phi_n in sympy's QQ[x],
+and the tangent Euler class is computed in QQ[x]/prod(x^a - 1) with x^-1 from `invert`.
 """
 
+import json
+import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from pathlib import Path
 
 import pytest
 
 from orbk3.hrr import BUILTIN_CLASSES, moduli_dimension
 from orbk3.inertia import preset_cyclic
+from orbk3.toystacks import GroupRingElement, dft_inverse, wps_euler_class_tangent, wps_relation_element
 
 sympy = pytest.importorskip("sympy")
 QQ = sympy.QQ
@@ -33,6 +41,12 @@ def _rational(a) -> Fraction:
     assert a.is_ground, a
     c = a.LC() if a.rep else QQ(0)
     return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _coefficients(p, length: int) -> tuple[Fraction, ...]:
+    """The ascending coefficients of a sympy Poly over QQ, zero-padded to length."""
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())] if not p.is_zero else []
+    return tuple(cs + [Fraction(0)] * (length - len(cs)))
 
 
 def _oracle(data: dict) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -68,3 +82,40 @@ def test_presets_match_the_sympy_oracle(n):
     assert unit == 1
     assert dims == DIMENSIONS[n]
     assert tuple(moduli_dimension(model, BUILTIN_CLASSES[name](model)) for name in ("OX", "Op", "TX")) == dims
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_transform_matches_sympy_remainders(n):
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=QQ)
+    rng = random.Random(n)
+    integral = [rng.randint(-9, 9) for _ in range(n)]
+    fractional = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+    for f in (integral, fractional):
+        for k, value in enumerate(dft_inverse(GroupRingElement(n, f))):
+            dense = [QQ(0)] * ((n - 1) * k + 1)  # f(x^k), ascending
+            for j, c in enumerate(f):
+                dense[j * k] += QQ(c.numerator, c.denominator)
+            folded = sympy.Poly(dense[::-1], x, domain=QQ)
+            assert value.coeffs == _coefficients(folded.rem(phi), phi.degree())
+
+
+def _golden_wps_weights() -> list[tuple[int, ...]]:
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    weights = [tuple(map(int, case["argv"][case["argv"].index("--weights") + 1].split(",")))
+               for case in golden if case["argv"][0] == "wps-euler"]
+    return sorted(set(weights))
+
+
+@pytest.mark.parametrize("weights", _golden_wps_weights())
+def test_wps_k_ring_matches_sympy(weights):
+    x = sympy.Symbol("x")
+    modulus = sympy.Poly(prod(x**a - 1 for a in weights), x, domain=QQ)
+    x_inverse = sympy.Poly(x, x, domain=QQ).invert(modulus)
+    factors = [(1 - x_inverse**a).rem(modulus) for a in weights]
+    euler = sum(prod(factors[:i] + factors[i + 1:]) for i in range(len(weights))).rem(modulus)
+    relation = prod(factors).rem(modulus)
+    assert relation.is_zero
+    degree = modulus.degree()
+    assert wps_euler_class_tangent(weights).coeffs == _coefficients(euler, degree)
+    assert wps_relation_element(weights).coeffs == _coefficients(relation, degree) == (Fraction(0),) * degree

@@ -20,14 +20,11 @@ inverts once per divisor of n this way.  Hashing uses Tr(a)/phi(L), which
 embedding preserves.
 
 Reduction mod Phi_L is linear, so a sum of products need not be reduced term
-by term (GAP's `cyclotom.c`, Breuer 1997).  `sesquilinear_sum` returns
-sum c*conj(a)*b over triples of mixed orders: each factor is embedded into
-Q[x]/(x^L - 1), L the lcm of all the orders, by one `poly_fold` (conjugation
-is the same fold with a negative exponent), the products accumulate there,
-and the sum is reduced mod Phi_L once.  The orbifold pairing and the pairing of
-transforms (`toystacks.weighted_inner_product`) run on it, and the unit identity
-(`inertia.validate_identity`) on the same scheme: one inverse per eigenvalue
-order, Galois conjugates by `poly_fold`, one reduction mod Phi_L.
+by term (GAP's `cyclotom.c`, Breuer 1997).  `galois_sum` returns sum c*sigma_e(a)*b,
+sigma_e: zeta -> zeta^e, over terms of mixed orders in one accumulator over Q[x]/(x^L - 1),
+L the lcm of the orders, reduced mod Phi_L once.  The orbifold pairing and the pairing of
+transforms (`toystacks.weighted_inner_product`) run on it with e = -1, conjugation, and the
+unit identity (`inertia.validate_identity`) on the conjugates of one inverse per order.
 """
 
 from __future__ import annotations
@@ -35,17 +32,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
 from .polyring import (
     Coeffs,
     QuotientRing,
     QuotientRingElement,
+    _EXACT,
     _pseudo_divmod,
     format_poly,
     integer,
     poly_fold,
-    poly_mul,
 )
 
 
@@ -252,25 +250,36 @@ class Cyclotomic(QuotientRingElement):
         return format_cyclotomic(self)
 
 
-def sesquilinear_sum(terms) -> Cyclotomic:
-    """sum of c * conj(a) * b over (c, a, b) triples of Cyclotomics or rationals, exact.
+def galois_sum(terms) -> Cyclotomic:
+    """sum of c * sigma_e(a) * b over (c, a, e, b), c, a and b Cyclotomics or rationals, exact.
 
-    The sum lives in Q(zeta_L), L the lcm of all the orders (`_common_order`).  Each product is
-    taken in Q[x]/(x^L - 1), where x^L = 1: c*conj(a) times each nonzero coefficient of the
-    folded b is added into one length-L accumulator; Phi_L divides x^L - 1, so one
-    reduction mod Phi_L at the end gives the same residue as reducing every term.
+    sigma_e: zeta -> zeta^e, e an `integer`, is a field map when e is a unit mod the order of a
+    (e = -1 is conjugation); otherwise an irrational a raises ValueError.  L is the lcm of all the
+    orders (`_common_order`), and embedding and sigma_e are each one `poly_fold` into Q[x]/(x^L - 1).
+    c*b is formed first; its multiples by each nonzero coefficient of the folded a go into one
+    length-L accumulator, and as Phi_L divides x^L - 1, the sum is reduced mod Phi_L once.
     """
-    terms = [[Cyclotomic.coerce(x) for x in term] for term in terms]
-    L = _common_order([x.L for term in terms for x in term])
-    acc = [Fraction(0)] * L
-    for c, a, b in terms:
-        ca = poly_mul(poly_fold(c.coeffs, L // c.L, L), poly_fold(a.coeffs, -(L // a.L), L))
-        b_terms = [(j, y) for j, y in enumerate(poly_fold(b.coeffs, L // b.L, L)) if y]
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in b_terms:
-                    acc[(i + j) % L] += x * y
+    terms = [(c, a, integer(e), b) for c, a, e, b in terms]
+    L = _common_order([x.L for term in terms for x in term if isinstance(x, Cyclotomic)])
+    acc = [0] * L
+    for c, a, e, b in terms:
+        cb: dict[int, Fraction] = {}
+        for (i, x), (j, y) in product(_folded(c, 1, L), _folded(b, 1, L)):
+            k = (i + j) % L
+            cb[k] = cb[k] + x * y if k in cb else x * y
+        for (i, x), (j, y) in product(_folded(a, e, L), cb.items()):
+            acc[(i + j) % L] += x * y
     return Cyclotomic(L, acc)
+
+
+def _folded(x, e: int, L: int) -> list[tuple[int, Fraction]]:
+    """The nonzero (k, coefficient) of sigma_e(x) in Q[x]/(x^L - 1); a rational is its own term."""
+    if type(x) in _EXACT:
+        return [(0, x)] if x else []
+    x = Cyclotomic.coerce(x)  # any other non-Cyclotomic raises TypeError
+    if gcd(e, x.L) != 1 and not x.is_rational():
+        raise ValueError(f"zeta -> zeta^{e} is not a field map of Q(zeta_{x.L})")
+    return [(k, y) for k, y in enumerate(poly_fold(x.coeffs, e * (L // x.L), L)) if y]
 
 
 def root_of_unity(order: int, exponent: int = 1) -> Cyclotomic:

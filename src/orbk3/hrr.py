@@ -12,7 +12,7 @@ orbifold Mukai vector, and `OrbifoldMukaiVector` is another name for
 with all arithmetic in a cyclotomic field, so results are exact rationals
 whenever they are rational (and an ExactnessError otherwise).  The twisted
 sum is accumulated once, in Q[x]/(x^L - 1) with L the lcm of the weight and
-entry orders, and reduced mod Phi_L once (`cyclotomic.sesquilinear_sum`);
+entry orders, and reduced mod Phi_L once (`cyclotomic.galois_sum`, e = -1);
 it is then halved and the untwisted term <v, w>_X / |G| added once.  A batch
 of pairs, such as a whole `hilbert.enumerate_mu2` table, shares one evaluation
 of the sector weights.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic, sesquilinear_sum
+from .cyclotomic import Cyclotomic, format_cyclotomic, galois_sum, parse_cyclotomic
 from .inertia import K3GModel
 from .lattice import MukaiVector, mukai_pairing
 
@@ -82,7 +82,7 @@ def _orbifold_pairings(model: K3GModel, pairs) -> list[Fraction]:
     pairs = [(orbifold_mukai_vector(model, v), orbifold_mukai_vector(model, w)) for v, w in pairs]
     weights, pairings = model.sector_weights(), []
     for v, w in pairs:
-        twisted = sesquilinear_sum(zip(weights, v.local_chars, w.local_chars))
+        twisted = galois_sum((c, a, -1, b) for c, a, b in zip(weights, v.local_chars, w.local_chars))
         untwisted = Fraction(mukai_pairing(model.lattice, v.mukai, w.mukai), model.group.order)
         pairings.append((twisted * Fraction(1, 2) + untwisted).as_rational())
     return pairings

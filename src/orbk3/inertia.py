@@ -17,11 +17,11 @@ from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, ExactnessError, _common_order, _prime_factors, inverse_one_minus_re
-from .cyclotomic import root_of_unity
+from .cyclotomic import Cyclotomic, ExactnessError, _common_order, _prime_factors, galois_sum
+from .cyclotomic import inverse_one_minus_re, root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
 from .lattice import PicardLattice
-from .polyring import integer, poly_fold
+from .polyring import integer
 
 
 class ModelError(ValueError):
@@ -133,8 +133,8 @@ class K3GModel:
     def sector_weights(self) -> tuple[Cyclotomic, ...]:
         """mult / (|G_ij| (1 - Re lambda_ij)) per sector, each in the field of its eigenvalue.
 
-        The orbifold pairing sums over these.  The unit identity folds one inverse per
-        eigenvalue order instead, and the tests sum these weights as its per-sector reference.
+        The orbifold pairing sums over these.  The unit identity sums the Galois conjugates of one
+        inverse per eigenvalue order instead, and the tests sum these weights as its reference.
         """
         return tuple(
             inverse_one_minus_re(s.eigenvalue()) * Fraction(s.multiplicity, s.stabilizer_order)
@@ -230,31 +230,21 @@ def preset_cyclic(n: int) -> K3GModel:
 def validate_identity(model: K3GModel) -> Fraction:
     """Exact value of 1/|G| + (1/4) sum 1/(|G_ij| (1 - Re lambda_ij)).
 
-    One inverse per eigenvalue order, Galois conjugates by `poly_fold`, one
-    reduction mod Phi_L.  The factors mult/|G_ij| are summed per eigenvalue
-    zeta_m^e, and each order m costs one inverse u_m = 1/(1 - Re zeta_m) in
-    Q(zeta_m).  The term of zeta_m^e is the conjugate sigma_e(u_m), which in
-    Q(zeta_L), L the lcm of the eigenvalue orders (`_common_order`), is
-    u_m(x^(e L/m)) mod x^L - 1: one `poly_fold`.  The terms accumulate in
-    Q[x]/(x^L - 1), and Phi_L divides x^L - 1, so the sum is reduced once.
-    An irrational total raises ExactnessError.
+    The factors mult/|G_ij| are summed per eigenvalue zeta_m^e, and each order m costs one
+    inverse u_m = 1/(1 - Re zeta_m) in Q(zeta_m), whose Galois conjugate sigma_e(u_m) is the
+    term of zeta_m^e: one `cyclotomic.galois_sum` adds (factor/4) * sigma_e(u_m) to 1/|G| and
+    reduces once mod Phi_L, L the lcm of the eigenvalue orders, which is bounded
+    (`_common_order`) before any inverse.  An irrational total raises ExactnessError.
     """
     factors: dict[int, dict[int, Fraction]] = {}  # m -> e mod m -> sum of mult/|G_ij|
     for s in model.sectors:
         by_exp = factors.setdefault(s.eig_order, {})
         exp = s.eig_exp % s.eig_order
         by_exp[exp] = by_exp.get(exp, 0) + Fraction(s.multiplicity, s.stabilizer_order)
-    L = _common_order(list(factors))
-    acc = [Fraction(0)] * L
-    acc[0] = Fraction(1, model.group.order)
-    for m, by_exp in factors.items():
-        u = inverse_one_minus_re(root_of_unity(m)).coeffs
-        for exp, factor in by_exp.items():
-            quarter = factor / 4
-            for k, c in enumerate(poly_fold(u, exp * (L // m), L)):
-                if c:
-                    acc[k] += c * quarter
-    return Cyclotomic(L, acc).as_rational()
+    _common_order(list(factors))
+    u = {m: inverse_one_minus_re(root_of_unity(m)) for m in factors}
+    terms = [(factor / 4, u[m], exp, 1) for m, by_exp in factors.items() for exp, factor in by_exp.items()]
+    return galois_sum([(Fraction(1, model.group.order), 1, 1, 1), *terms]).as_rational()
 
 
 def solve_fixed_points_cyclic(n: int) -> int:

@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .cyclotomic import Cyclotomic, root_of_unity, sesquilinear_sum
+from .cyclotomic import Cyclotomic, galois_sum, root_of_unity
 from .groups import Character, char_inner_product
 from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
 from .polyring import _numerators, poly, poly_fold, poly_mul
@@ -83,7 +83,7 @@ def weighted_inner_product(a, b, n: int | None = None) -> Cyclotomic:
     n = len(a) if n is None else integer(n)
     if n < 1:
         raise ToyStackError("n must be positive")
-    return sesquilinear_sum((Fraction(1, n), ai, bi) for ai, bi in zip(a, b))
+    return galois_sum((Fraction(1, n), ai, -1, bi) for ai, bi in zip(a, b))
 
 
 def coefficient_pairing(f: GroupRingElement, g: GroupRingElement) -> Fraction:

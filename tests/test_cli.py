@@ -104,7 +104,7 @@ def test_verify_identity_preset(capsys):
 
 # The unit identity is evaluated once, where the model is built: fixed-points inverts once
 # per divisor of 8 in the solver (3), and the identity of preset_cyclic(8) takes one inverse
-# per eigenvalue order, Galois conjugates by `poly_fold`, one reduction mod Phi_L (3).
+# per eigenvalue order, its Galois conjugates summed by one `galois_sum` (3).
 @pytest.mark.parametrize(
     "argv, inverses",
     [(["fixed-points", "--order", "8"], 6), (["verify-identity", "--preset", "cyclic:8"], 3)],

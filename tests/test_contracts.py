@@ -20,9 +20,9 @@ from orbk3.cyclotomic import (
     AmbientFieldError,
     Cyclotomic,
     cyclotomic_polynomial,
+    galois_sum,
     parse_cyclotomic,
     root_of_unity,
-    sesquilinear_sum,
     sum_inverse_one_minus_cos,
 )
 from orbk3.groups import (
@@ -357,7 +357,7 @@ COEFFICIENT_SLOTS = {
     "equivariant-class": lambda c: EquivariantClass(MukaiVector(1, (0,), 1), (c,)),
     "orbifold-mukai-vector": lambda c: OrbifoldMukaiVector(MukaiVector(1, (0,), 1), (c,)),
     "weighted-inner-product": lambda c: weighted_inner_product((1, c), (1, 1)),
-    "sesquilinear-sum": lambda c: sesquilinear_sum([(1, 1, c)]),
+    "sesquilinear-sum": lambda c: galois_sum([(1, 1, -1, c)]),
 }
 
 

@@ -19,10 +19,10 @@ from orbk3.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     format_cyclotomic,
+    galois_sum,
     inverse_one_minus_re,
     parse_cyclotomic,
     root_of_unity,
-    sesquilinear_sum,
     sum_inverse_one_minus_cos,
 )
 from orbk3.polyring import monomial, poly, poly_fold
@@ -330,16 +330,31 @@ def test_hash_is_invariant_under_embedding(data):
         assert hash(a) == hash(a.as_rational())
 
 
-def test_sesquilinear_sum_worked_values():
-    assert sesquilinear_sum([]) == 0 and sesquilinear_sum([]).L == 1
+def test_galois_sum_worked_values():
+    assert galois_sum([]) == 0 and galois_sum([]).L == 1
     # |zeta_n^k|^2 = 1 for each k, so the n terms sum to n
     for n in (3, 5, 8):
-        total = sesquilinear_sum((1, root_of_unity(n, k), root_of_unity(n, k)) for k in range(n))
+        total = galois_sum((1, root_of_unity(n, k), -1, root_of_unity(n, k)) for k in range(n))
         assert total == n and total.L == n
     # conj(zeta_4) = -zeta_4, and the weight may lie in another field than a and b
-    total = sesquilinear_sum([(Fraction(1, 2), root_of_unity(4), 1), (root_of_unity(3), 2, 3)])
+    total = galois_sum([(Fraction(1, 2), root_of_unity(4), -1, 1), (root_of_unity(3), 2, -1, 3)])
     assert total == -root_of_unity(4) / 2 + 6 * root_of_unity(3)
     assert total.L == 12
+    # the Galois conjugates of zeta_n sum to its trace, the Moebius value mu(n)
+    for n, mu in ((5, -1), (6, 1), (7, -1), (8, 0), (30, -1)):
+        assert galois_sum((1, root_of_unity(n), e, 1) for e in range(n) if gcd(e, n) == 1) == mu
+
+
+def test_galois_sum_takes_integer_units():
+    # e is an integer, and bool is not one
+    with pytest.raises(TypeError):
+        galois_sum([(1, root_of_unity(4), True, 1)])
+    # zeta_4 -> zeta_4^2 is no field map: x and x - Phi_4 = -x^2 + x - 1 are the same residue,
+    # but their folds x^2 and -x^4 + x^2 - 1 are -1 and -3 mod Phi_4
+    with pytest.raises(ValueError):
+        galois_sum([(1, root_of_unity(4), 2, 1)])
+    # sigma_e fixes Q, so a rational a takes any exponent
+    assert galois_sum([(1, Cyclotomic(4, (3,)), 2, 1), (1, Fraction(1, 2), 0, 2)]) == 4
 
 
 KERNEL_ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 24]
@@ -349,14 +364,31 @@ kernel_factors = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(kernel_factors, kernel_factors, kernel_factors), max_size=4))
-def test_sesquilinear_sum_matches_the_sum_term_by_term(terms):
+@st.composite
+def galois_terms(draw):
+    """(c, a, e, b) with e a unit mod the order of a, or -1, shifted by a multiple of that order."""
+    c, a, b = draw(kernel_factors), draw(kernel_factors), draw(kernel_factors)
+    order = a.L if isinstance(a, Cyclotomic) else 1
+    e = draw(st.sampled_from([-1] + [k for k in range(order) if gcd(k, order) == 1]))
+    return c, a, e + order * draw(st.integers(-2, 2)), b
+
+
+def galois_conjugate(a, e):
+    """sigma_e(a) = sum_k a_k zeta^(e k), one `root_of_unity` term at a time."""
+    a, total = Cyclotomic.coerce(a), Cyclotomic.zero()
+    for k, x in enumerate(a.coeffs):
+        total = total + root_of_unity(a.L, e * k) * x
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(galois_terms(), max_size=4))
+def test_galois_sum_matches_the_sum_term_by_term(terms):
     # the reference reduces every product mod Phi_L; the kernel reduces the sum once
     expected = Cyclotomic.zero()
-    for c, a, b in terms:
-        expected = expected + c * Cyclotomic.coerce(a).conjugate() * b
-    total = sesquilinear_sum(terms)
+    for c, a, e, b in terms:
+        expected = expected + c * galois_conjugate(a, e) * b
+    total = galois_sum(terms)
     orders = [x.L for term in terms for x in term if isinstance(x, Cyclotomic)]
     assert total.L == expected.L == lcm(1, *orders)
     assert total.coeffs == expected.coeffs

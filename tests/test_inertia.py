@@ -186,6 +186,62 @@ def test_identity_evaluates_when_the_lcm_is_an_eigenvalue_order():
     assert exc.value.value == expected
 
 
+def jordan_totient_2(m):
+    """J_2(m) = m^2 prod_{p | m} (1 - p^-2), in integers only."""
+    j2, rest, p = m * m, m, 2
+    while rest > 1:
+        if rest % p == 0:
+            j2 = j2 // (p * p) * (p * p - 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return j2
+
+
+def jordan_closed_form(model):
+    """1/|G| + sum_m F_m J_2(m)/24 with no field arithmetic, F_m the sum of mult/|G_ij| over the
+    sectors of each eigenvalue zeta_m^e; it is the identity when F_m is the same for every unit e
+    mod m (the model is Galois-closed), since the conjugates sum to Tr 1/(1 - Re zeta_m) = J_2(m)/6."""
+    factors = {}
+    for s in model.sectors:
+        key = (s.eig_order, s.eig_exp % s.eig_order)
+        factors[key] = factors.get(key, 0) + Fraction(s.multiplicity, s.stabilizer_order)
+    total = Fraction(1, model.group.order)
+    for m in {m for m, _ in factors}:
+        per_unit = {factors.get((m, e), 0) for e in range(m) if gcd(e, m) == 1}
+        assert len(per_unit) == 1, f"not Galois-closed at order {m}"
+        total += per_unit.pop() * jordan_totient_2(m) / 24
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_preset_identity_is_jordans_totient_in_closed_form(n):
+    model = preset_cyclic(n)
+    assert jordan_closed_form(model) == validate_identity(model) == 1
+
+
+@st.composite
+def galois_closed_multiplicities(draw):
+    """|G| in {24, 60, 120}, and a multiplicity f_m for a few orders m | |G| with m <= 30."""
+    order = draw(st.sampled_from([24, 60, 120]))
+    orders = st.sampled_from([m for m in range(2, 31) if order % m == 0])
+    return order, draw(st.dictionaries(orders, st.integers(1, 9), min_size=1, max_size=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(galois_closed_multiplicities())
+def test_galois_closed_identity_is_jordans_totient(order_and_multiplicities):
+    # one orbit fixed by all of G per unit e mod m, each with multiplicity f_m: the identity is
+    # 1/|G| + sum_m f_m J_2(m) / (24 |G|), an integer oracle that shares no field arithmetic
+    order, multiplicities = order_and_multiplicities
+    eigenvalues = [(m, e, f) for m, f in multiplicities.items() for e in range(1, m) if gcd(e, m) == 1]
+    sectors = tuple(SectorEntry(i, order, m, e, f) for i, (m, e, f) in enumerate(eigenvalues))
+    model = SimpleNamespace(group=SimpleNamespace(order=order), sectors=sectors)
+    expected = Fraction(1, order)
+    expected += sum(Fraction(f * jordan_totient_2(m), 24 * order) for m, f in multiplicities.items())
+    assert validate_identity(model) == expected == jordan_closed_form(model)
+
+
 def test_identity_inverts_once_per_eigenvalue_order(inverse_calls):
     # 18 sectors carry 7 distinct eigenvalues of orders 2, 4 and 8: one inverse in
     # Q(zeta_m) per order m, of degree phi(m); the other eigenvalues are its Galois conjugates
@@ -209,8 +265,8 @@ FIXED_POINT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fixed_po
 
 def test_fixed_point_script_checks_each_identity_once(capsys, inverse_calls):
     # per order n = 2..8: the solver's d(n) - 1 inverses (12 in all) and one preset built
-    # once, with one inverse per eigenvalue order, Galois conjugates by `poly_fold` and one
-    # reduction mod Phi_L: again d(n) - 1 inverses (12 in all)
+    # once, with one inverse per eigenvalue order and its Galois conjugates in one
+    # `galois_sum`: again d(n) - 1 inverses (12 in all)
     assert runpy.run_path(str(FIXED_POINT_SCRIPT))["main"]() == 0
     assert capsys.readouterr().out.count("1 (ok)") == 7
     assert len(inverse_calls) == 24

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbk3.cyclotomic import Cyclotomic, euler_phi, root_of_unity, sesquilinear_sum
+from orbk3.cyclotomic import Cyclotomic, euler_phi, galois_sum, root_of_unity
 from orbk3.hrr import BUILTIN_CLASSES, orbifold_mukai_pairing, orbifold_mukai_vector
 from orbk3.inertia import preset_cyclic
 from orbk3.polyring import (
@@ -133,7 +133,7 @@ def test_residue_paths_never_divide():
 
 
 def test_products_retain_no_memory(retained_bytes):
-    # 4000 products in Q(zeta_L), 1400 sesquilinear sums of two terms, each with its weight
+    # 4000 products in Q(zeta_L), 1400 Galois sums (e = -1) of two terms, each with its weight
     # in a subfield, and 1520 transforms of integer and Fraction vectors: the kernels keep
     # nothing alive between calls (no cache or accumulator grows with the number of calls)
     rng = random.Random(0)
@@ -144,11 +144,12 @@ def test_products_retain_no_memory(retained_bytes):
     pairs = [(element(L), element(L)) for L in (12, 15, 20, 24, 30, 36, 40, 60) for _ in range(500)]
     assert retained_bytes(operator.mul, pairs) < 64 * 1024
     sums = [
-        ([(element(L // 2 if L % 2 == 0 else 1), element(L), element(L)), (Fraction(1, 2), element(L), 3)],)
+        ([(element(L // 2 if L % 2 == 0 else 1), element(L), -1, element(L)),
+          (Fraction(1, 2), element(L), -1, 3)],)
         for L in (3, 4, 5, 6, 7, 8, 12)
         for _ in range(200)
     ]
-    assert retained_bytes(sesquilinear_sum, sums) < 64 * 1024
+    assert retained_bytes(galois_sum, sums) < 64 * 1024
     orders = [*range(2, 17), 18, 20, 24, 30]
     for n in orders:  # Phi_n and Q(zeta_n) are cached on first use, before the measurement
         dft_inverse(GroupRingElement(n, ()))

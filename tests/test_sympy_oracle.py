@@ -10,6 +10,9 @@ and dim = 2 - <v~, v~> for O_X, a free orbit O_p and TX, where
 
     <v~, w~> = <v, w>_X / |G| + (1/2) sum mult * conj(v_ij) * w_ij / (|G_ij| (1 - Re lambda_ij)).
 
+The same pairing of drawn classes on cyclic:2..8, whose twisted entries are rationals or
+c * zeta_d^k with d | n, is recomputed from the payload and the drawn data; where sympy's
+value is irrational, the library must raise ExactnessError.
 The transform on B(mu_n) and the K-rings of weighted projective stacks are checked the
 same way, on coefficient tuples alone: f_check(k) is f(x^k) mod Phi_n in sympy's QQ[x],
 and the tangent Euler class is computed in QQ[x]/prod(x^a - 1) with x^-1 from `invert`.
@@ -18,13 +21,18 @@ and the tangent Euler class is computed in QQ[x]/prod(x^a - 1) with x^-1 from `i
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbk3.hrr import BUILTIN_CLASSES, moduli_dimension
+from orbk3.cyclotomic import ExactnessError, root_of_unity
+from orbk3.hrr import BUILTIN_CLASSES, EquivariantClass, euler_pairing, moduli_dimension
 from orbk3.inertia import preset_cyclic
+from orbk3.lattice import MukaiVector
 from orbk3.toystacks import GroupRingElement, dft_inverse, wps_euler_class_tangent, wps_relation_element
 
 sympy = pytest.importorskip("sympy")
@@ -49,18 +57,31 @@ def _coefficients(p, length: int) -> tuple[Fraction, ...]:
     return tuple(cs + [Fraction(0)] * (length - len(cs)))
 
 
-def _oracle(data: dict) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(unit identity, (dim O_X, dim O_p, dim TX)) of a model payload, in sympy's Q(zeta_L)."""
-    order, sectors = data["group"]["order"], data["sectors"]
-    L = lcm(*[s["eig_order"] for s in sectors])
+@lru_cache(maxsize=None)
+def _field(L: int):
+    """sympy's Q(zeta_L) = QQ.algebraic_field(exp(2 pi i/L)) and its zeta_L, built once per L."""
     K = QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / L))
-    zeta = K.convert(K.ext)
+    return K, K.convert(K.ext)
+
+
+def _sectors(data: dict):
+    """(L, K, zeta, weights, real parts) of a model payload: per sector, in sympy's Q(zeta_L),
+    mult / (|G_ij| (1 - Re lambda_ij)) and Re lambda_ij, L the lcm of the eigenvalue orders."""
+    L = lcm(*[s["eig_order"] for s in data["sectors"]])
+    K, zeta = _field(L)
     real_parts, weights = [], []
-    for s in sectors:
+    for s in data["sectors"]:
         k = s["eig_exp"] * (L // s["eig_order"]) % L
         re = (zeta**k + zeta ** ((L - k) % L)) * QQ(1, 2)
         real_parts.append(re)
         weights.append(K.one / ((K.one - re) * QQ(s["stabilizer"], s["multiplicity"])))
+    return L, K, zeta, weights, real_parts
+
+
+def _oracle(data: dict) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(unit identity, (dim O_X, dim O_p, dim TX)) of a model payload, in sympy's Q(zeta_L)."""
+    order, sectors = data["group"]["order"], data["sectors"]
+    _, K, _, weights, real_parts = _sectors(data)
     unit = QQ(1, order) + sum(weights, K.zero) * QQ(1, 4)
 
     def dimension(r, s, twisted):
@@ -82,6 +103,64 @@ def test_presets_match_the_sympy_oracle(n):
     assert unit == 1
     assert dims == DIMENSIONS[n]
     assert tuple(moduli_dimension(model, BUILTIN_CLASSES[name](model)) for name in ("OX", "Op", "TX")) == dims
+
+
+def _sympy_pairing(data: dict, x: dict, y: dict):
+    """<v~, w~> of two drawn classes on a model payload, as an element of sympy's Q(zeta_L).
+
+    A class is {"mukai": (r, c1, s), "twisted": [...]}, each twisted entry a Fraction c or a
+    triple (c, d, k) for c * zeta_d^k; conj(zeta_L^j) = zeta_L^(L - j)."""
+    L, K, zeta, weights, _ = _sectors(data)
+    gram = data["lattice"]["gram"]
+
+    def entry(value, sign):
+        if isinstance(value, Fraction):
+            return K.one * QQ(value.numerator, value.denominator)
+        c, d, k = value
+        return zeta ** (sign * k * (L // d) % L) * QQ(c.numerator, c.denominator)
+
+    (rv, cv, sv), (rw, cw, sw) = x["mukai"], y["mukai"]
+    c1 = sum(cv[i] * gram[i][j] * cw[j] for i in range(len(cv)) for j in range(len(cw)))
+    twisted = sum(
+        (wt * entry(a, -1) * entry(b, 1) for wt, a, b in zip(weights, x["twisted"], y["twisted"])), K.zero
+    )
+    return QQ(rv * sw - c1 + sv * rw, data["group"]["order"]) + twisted * QQ(1, 2)
+
+
+@st.composite
+def _drawn_class(draw, n: int, sectors: int, rank: int) -> dict:
+    """A Mukai vector and one twisted entry per sector: a rational, or c * zeta_d^k with d | n."""
+    small = st.integers(-3, 3)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    root = st.tuples(rational, st.sampled_from(divisors), st.integers(0, n - 1))
+    c1 = tuple(draw(st.lists(small, min_size=rank, max_size=rank)))
+    twisted = draw(st.lists(st.one_of(rational, root), min_size=sectors, max_size=sectors))
+    return {"mukai": (draw(small), c1, draw(small)), "twisted": twisted}
+
+
+def _library_class(x: dict) -> EquivariantClass:
+    twisted = [v if isinstance(v, Fraction) else root_of_unity(v[1], v[2]) * v[0] for v in x["twisted"]]
+    return EquivariantClass(MukaiVector(*x["mukai"]), tuple(twisted))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pairing_matches_sympy(data):
+    # the library's pairing of drawn classes on cyclic:2..8 equals sympy's, read from
+    # to_json() and the drawn data; where sympy's value is irrational the library raises
+    n = data.draw(st.integers(2, 8), label="n")
+    model = preset_cyclic(n)
+    payload = model.to_json()
+    drawn = _drawn_class(n, len(payload["sectors"]), payload["lattice"]["rank"])
+    x = data.draw(drawn, label="x")
+    y = x if data.draw(st.booleans(), label="self-pairing") else data.draw(drawn, label="y")
+    expected = _sympy_pairing(payload, x, y)
+    if expected.is_ground:
+        assert euler_pairing(model, _library_class(x), _library_class(y)) == _rational(expected)
+    else:
+        with pytest.raises(ExactnessError):
+            euler_pairing(model, _library_class(x), _library_class(y))
 
 
 @pytest.mark.parametrize("n", range(1, 17))

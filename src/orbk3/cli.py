@@ -31,7 +31,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .cyclotomic import AmbientFieldError, ExactnessError
+from .cyclotomic import MAX_INT_DIGITS, AmbientFieldError, ExactnessError
 from .groups import GroupError
 from .hilbert import CrossCheckError, HilbertError, enumerate_mu2
 from .hrr import BUILTIN_CLASSES, EquivariantClass, SectorMismatchError, euler_pairing
@@ -70,9 +70,6 @@ BG_MAX_N = 1000
 BG_MAX_DEGREE = 1000
 WPS_MAX_WEIGHTS = 8
 WPS_MAX_WEIGHT_SUM = 64
-# Digits of an integer in a JSON document or an integer list, as of a rational in `c[L]: ...` text:
-# the square of such a value prints within Python's 4300-digit limit on int strings.
-MAX_INT_DIGITS = 1000
 # Digits of the numerator or denominator of a printed pairing; 2 - pairing has at most one more,
 # so both print within Python's limit.
 _MAX_PRINTED_DIGITS = 4000

@@ -4,11 +4,11 @@ An element of Q(zeta_L) is a `QuotientRingElement` of Q[x]/Phi_L(x), where
 Phi_L is the L-th cyclotomic polynomial, so it shares the one residue
 arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
-and the powers of zeta_L are built in Z[x]: Phi_L from the primes of L, one
-substitution and one exact division per prime, and zeta_L^k by r <- x*r - r_top*Phi_L.
-The field is a `QuotientRing` that holds the integer Phi_L; the powers of zeta_L
-and the transform `toystacks.dft_inverse` hand it integer rows (`_residues`),
-reduced mod the monic Phi_L in Z with one Fraction per distinct value.
+is built in Z[x] from the primes of L, one substitution and one exact division
+per prime.  The field is a `QuotientRing` that holds the integer Phi_L; the powers
+of zeta_L, which are the residues of the monomials x^k, and the transform
+`toystacks.dft_inverse` hand it integer rows (`_residues`), reduced mod the monic
+Phi_L in Z with one Fraction per distinct value.
 What is particular to the field lives here: operands of different orders meet
 in Q(zeta_lcm) (bounded in `_common_order`).  Every substitution x -> x^e is one
 `poly_fold`: in building Phi_L, and in embedding and conjugation, which reduce
@@ -94,23 +94,9 @@ def _field(L: int) -> QuotientRing:
 
 @lru_cache(maxsize=None)
 def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
-    """zeta_L^k for k = 0..L-1, as residues built in Z by r <- x*r - r_top*Phi_L.
-
-    Phi_L, read as the field's integer modulus, is monic, so the shift x*r is reduced by one
-    multiple of Phi_L and every residue stays an integer vector; the field's `_residues` wraps the rows.
-    """
+    """zeta_L^k for k = 0..L-1: the field's `_residues` of the monomial rows x^k."""
     one = Cyclotomic.one(L)
-    phi = one.ring._integer_modulus
-    terms = [(j, b) for j, b in enumerate(phi[:-1]) if b]
-    row = [1] + [0] * (len(phi) - 2)
-    rows = [row]
-    for _ in range(L - 1):
-        top, row = row[-1], [0] + row[:-1]
-        if top:
-            for j, b in terms:
-                row[j] -= top * b
-        rows.append(row)
-    return tuple([one._new(r) for r in one.ring._residues(rows)])
+    return tuple([one._new(r) for r in one.ring._residues([[0] * k + [1] for k in range(L)])])
 
 
 @lru_cache(maxsize=None)
@@ -306,9 +292,12 @@ def sum_inverse_one_minus_cos(n: int) -> Fraction:
     return sum(inverse_one_minus_re(root_of_unity(m)).trace() for m in range(2, n + 1) if n % m == 0)
 
 
-# A rational of the wire format: -?p or -?p/q, each part at most 1000 digits, so parsing is cheap
-# and the square of one value prints within Python's 4300-digit limit on int strings.
-_RATIONAL = r"-?\d{1,1000}(?:/\d{1,1000})?"
+# Digits of an untrusted integer: each part of a rational in `c[L]: ...` text here, and each
+# integer of a JSON document or integer list in `cli`.  Parsing is cheap, and the square of
+# such a value prints within Python's 4300-digit limit on int strings.
+MAX_INT_DIGITS = 1000
+# A rational of the wire format: -?p or -?p/q, each part at most MAX_INT_DIGITS digits.
+_RATIONAL = rf"-?\d{{1,{MAX_INT_DIGITS}}}(?:/\d{{1,{MAX_INT_DIGITS}}})?"
 _TERM_RE = re.compile(rf"^({_RATIONAL})(?:\*z(?:\^(\d+))?)?$")
 
 

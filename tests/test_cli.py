@@ -175,7 +175,8 @@ def test_malformed_model_and_class_files_exit_2(capsys, tmp_path, case):
 
 # Malformed inputs, each of which must exit 2 with an `error:` line.  A file case replaces
 # the value at a key path in the cyclic:2 model or in its TX class (the empty path
-# replaces the whole document); an argv case is appended to `check-hypotheses --r 1 --s 1`.
+# replaces the whole document); an argv case that starts with an option is appended to
+# `check-hypotheses --r 1 --s 1`, and one that starts with a command is the whole argv.
 MALFORMED_INPUTS = {
     "sector-class-string": ("--model", ("sectors", 0, "class"), "x"),
     "sectors-int": ("--model", ("sectors",), 5),
@@ -209,6 +210,9 @@ MALFORMED_INPUTS = {
     "mukai-2500-digits": ("--class", ("mukai",), {"r": int("9" * 2500), "c1": [0], "s": int("9" * 2500)}),
     "ample-and-c1-2500-digits": ["--gram", "[[2]]", "--ample", "9" * 2500, "--c1", "9" * 2500],
     "gram-entry-1001-digits": ["--gram", f"[[{'8' * 1001}]]"],
+    "gram-not-square": ["check-hypotheses", "--r", "1", "--s", "0", "--gram", "[[2,0]]"],
+    "wps-nine-weights": ["wps-euler", "--weights", "1,1,1,1,1,1,1,1,1"],
+    "wps-weight-sum-65": ["wps-euler", "--weights", "32,33"],
     # eight entries 1/q with distinct 1000-digit q: the pairing has a denominator of ~16000 digits
     "pairing-beyond-4000-digits": (
         "--class", ("twisted",), [f"1/{random.Random(i).randrange(10**999, 10**1000)}" for i in range(8)]
@@ -218,7 +222,7 @@ MALFORMED_INPUTS = {
 
 def _malformed_argv(case, tmp_path):
     if isinstance(case, list):
-        return ["check-hypotheses", "--r", "1", "--s", "1", *case]
+        return ["check-hypotheses", "--r", "1", "--s", "1", *case] if case[0].startswith("-") else case
     flag, path, value = case
     model = preset_cyclic(2)
     data = model.to_json() if flag == "--model" else tangent_bundle_class(model).to_json()
@@ -241,6 +245,12 @@ def test_malformed_inputs_exit_2_without_traceback(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["wps-nine-weights", "wps-weight-sum-65"])
+def test_wps_limits_are_named(capsys, tmp_path, case):
+    code, _, err = run(capsys, *_malformed_argv(MALFORMED_INPUTS[case], tmp_path))
+    assert (code, err) == (2, "error: at most 8 weights with sum at most 64\n")
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000], ids=["not-utf8", "too-deep"])

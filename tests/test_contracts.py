@@ -121,6 +121,7 @@ RAISES_ROWS = (
     ("closed-form-10", (ModelError, lambda: fixed_points_closed_form(10))),  # 4/3
     ("stabilizer-not-dividing", (ModelError, _stabilizer_not_dividing_order)),
     ("stabilizer-without-element", (ModelError, _stabilizer_without_element)),
+    ("gram-not-square", (LatticeError, lambda: PicardLattice([[2, 0]], [1]))),
     ("ample-length", (LatticeError, lambda: PicardLattice([[2]], [1, 0]))),
     ("intersect-length", (LatticeError, lambda: fermat_quotient_lattice().intersect((1, 0), (1,)))),
     # a JSON object or string is not a matrix, a row or a class

@@ -25,7 +25,7 @@ from orbk3.cyclotomic import (
     root_of_unity,
     sum_inverse_one_minus_cos,
 )
-from orbk3.polyring import monomial, poly, poly_fold
+from orbk3.polyring import poly, poly_fold
 from orbk3.toystacks import weighted_inner_product
 
 
@@ -293,12 +293,21 @@ def test_cyclotomic_polynomial_divides_once_per_prime(monkeypatch, fold_calls, n
 
 
 def test_zeta_powers_match_the_generic_reduction():
-    for L in [*range(1, 121), 840]:
+    # zeta_L^k is the remainder of x^k by Phi_L, here sympy's, on a path the ring does not share:
+    # every k for small L, and for L = 840 the k on both sides of phi(840) = 192 and the last
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cases = [(L, range(L)) for L in [*range(1, 61), 84, 120]]
+    cases.append((840, [0, 1, 190, 191, 192, 193, 194, 839]))
+    for L, ks in cases:
         powers = cyclotomic._zeta_powers(L)
         assert len(powers) == L
-        for k, z in enumerate(powers):
-            assert z.coeffs == Cyclotomic(L, monomial(k)).coeffs
-            assert all(type(c) is Fraction for c in z.coeffs)
+        phi = sympy.Poly(sympy.cyclotomic_poly(L, x), x)
+        for k in ks:
+            rem = sympy.Poly(x**k, x).rem(phi).all_coeffs()[::-1]
+            expected = [Fraction(int(c)) for c in rem] + [Fraction(0)] * (phi.degree() - len(rem))
+            assert powers[k].coeffs == tuple(expected)
+            assert all(type(c) is Fraction for c in powers[k].coeffs)
 
 
 @pytest.mark.parametrize("L", [5, 8, 12, 15, 21, 31, 60, 97])

@@ -244,6 +244,20 @@ def test_imports_are_at_module_level():
     assert hidden == []
 
 
+def test_only_polyring_reads_the_integer_modulus():
+    # reduction mod a ring's modulus is `QuotientRing`'s alone, so no other module reads
+    # the integer modulus to reduce by hand
+    readers = []
+    for path in sorted(Path(orbk3.__file__).parent.glob("*.py")):
+        if path.name == "polyring.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_integer_modulus":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10, so no module may use later syntax
     # (`except*`, `type X = ...`); the 3.10 grammar rejects both

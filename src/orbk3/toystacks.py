@@ -2,24 +2,23 @@
 
 Covers the exact discrete Fourier transform picture for B(mu_n) (including
 Parseval's identity), K-theory rings of weighted projective stacks with
-their tangent Euler classes, the fixed P(2,3) twisted-character example,
-and the stars-and-bars moduli count on B(mu_n).  The transform works on
-integer numerators: one `poly_fold` per output in Z, then the rows of all outputs
-go to the field's `QuotientRing._residues`: one reduction mod the monic integer
-Phi_n per output, and one Fraction per distinct value.
+their tangent Euler classes, the twisted characters of P(2,3) as the powers
+x^k in one residue ring, and the stars-and-bars moduli count on B(mu_n).
+The transform works on integer numerators: one `poly_fold` per output in Z,
+then the rows of all outputs go to the field's `QuotientRing._residues`: one
+reduction mod the monic integer Phi_n per output, and one Fraction per distinct value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .cyclotomic import Cyclotomic, galois_sum, root_of_unity
-from .groups import Character, char_inner_product
+from .cyclotomic import Cyclotomic, galois_sum
+from .groups import char_inner_product
 from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
 from .polyring import _numerators, poly, poly_fold, poly_mul
 
@@ -34,7 +33,8 @@ def _group_ring(n: int) -> QuotientRing:
 
 
 class GroupRingElement(QuotientRingElement):
-    """An element of Z[x]/(x^n - 1): the representation ring of mu_n."""
+    """An element of Q[x]/(x^n - 1), int or Fraction coefficients; Z[x]/(x^n - 1) is the
+    representation ring of mu_n."""
 
     __slots__ = ()
 
@@ -150,38 +150,37 @@ def projective_space_euler_class(n: int) -> QuotientRingElement:
 
 # -- the fixed P(2,3) example ----------------------------------------------
 
+_P23_RING = QuotientRing(poly_mul(poly((1, -2, 1)), poly((1, 0, 0, 1))))
 
-@dataclass(frozen=True)
-class ChowP23Element:
-    """An element of C[h]/(h^2) + three twisted components for P(2,3)."""
 
-    untwisted: tuple[Cyclotomic, Cyclotomic]  # c0 + c1*h
-    twisted: tuple[Cyclotomic, Cyclotomic, Cyclotomic]
+class ChowP23Element(QuotientRingElement):
+    """An element of C[h]/(h^2) + three twisted components for P(2,3): a residue p in
+    Q[x]/((x - 1)^2 (x^3 + 1)), x^3 + 1 = (x + 1) Phi_6, which by CRT is Q[h]/(h^2), x = 1 + h,
+    times the values at x = -1, zeta_6 and zeta_6^5."""
 
-    def __mul__(self, other: "ChowP23Element") -> "ChowP23Element":
-        a0, a1 = self.untwisted
-        b0, b1 = other.untwisted
-        return ChowP23Element(
-            (a0 * b0, a0 * b1 + a1 * b0),  # truncate mod h^2
-            tuple(x * y for x, y in zip(self.twisted, other.twisted)),
-        )
+    __slots__ = ()
+
+    @property
+    def untwisted(self) -> tuple[Cyclotomic, Cyclotomic]:
+        """(p(1), p'(1)): c0 + c1*h."""
+        c = self.coeffs
+        return Cyclotomic.from_rational(sum(c)), Cyclotomic.from_rational(sum(k * a for k, a in enumerate(c)))
+
+    @property
+    def twisted(self) -> tuple[Cyclotomic, Cyclotomic, Cyclotomic]:
+        """(p(-1), p(zeta_6), p(zeta_6^5)), p(-1) in Q(zeta_1)."""
+        c, at_zeta = self.coeffs, Cyclotomic(6, self.coeffs)
+        return Cyclotomic.from_rational(sum(c[::2]) - sum(c[1::2])), at_zeta, at_zeta.conjugate()
 
 
 def orbch_p23(k: int) -> ChowP23Element:
-    """Twisted characters of the k-th power of the twisting sheaf on P(2,3).
+    """Twisted characters of the k-th power of the twisting sheaf on P(2,3): the residue of x^k.
 
-    The components are ((1+h)^k mod h^2, (-1)^k, zeta_6^k, zeta_6^{5k});
-    negative k uses the formal inverse (1+h)^{-1} = 1 - h.
+    The components are ((1+h)^k mod h^2, (-1)^k, zeta_6^k, zeta_6^{5k}); negative k inverts x.
+    The relation 1 - x^-2 - x^-3 + x^-5 of K(P(2,3)) (`wps_relation_element((2, 3))`) maps to
+    2 + 2*z and 4 - 2*z on the zeta_6 components, not to 0; with zeta_3 it would map to 0.
     """
-    k = integer(k)
-    return ChowP23Element(
-        (Cyclotomic.one(), Cyclotomic.from_rational(k)),
-        (
-            Cyclotomic.from_rational((-1) ** (k % 2)),
-            root_of_unity(6, k % 6),
-            root_of_unity(6, (5 * k) % 6),
-        ),
-    )
+    return ChowP23Element(_P23_RING, monomial(1)) ** k
 
 
 # -- B(mu_n) moduli counting and the BG Euler pairing -----------------------
@@ -194,7 +193,6 @@ def bg_moduli_count(n: int, d: int) -> int:
     return comb(n + d - 1, n - 1)
 
 
-def bg_euler_pairing(chi: Character, psi: Character) -> Fraction:
-    """The orbifold Euler pairing on BG is exactly the character inner product:
-    chi(V, W) = dim Hom(V, W)^G."""
-    return char_inner_product(chi, psi)
+# The orbifold Euler pairing on BG is exactly the character inner product:
+# chi(V, W) = dim Hom(V, W)^G.
+bg_euler_pairing = char_inner_product

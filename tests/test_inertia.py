@@ -11,9 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbk3 import inertia
-from orbk3.cyclotomic import AmbientFieldError, Cyclotomic, ExactnessError, inverse_one_minus_re
+from orbk3.cyclotomic import (
+    MAX_PARSED_FIELD_ORDER,
+    AmbientFieldError,
+    Cyclotomic,
+    ExactnessError,
+    inverse_one_minus_re,
+    sum_inverse_one_minus_cos,
+)
 from orbk3.groups import Character, abelian_character_table, invariant_dimension
-from orbk3.hrr import EquivariantClass, euler_pairing, structure_sheaf_class
+from orbk3.hrr import BUILTIN_CLASSES, EquivariantClass, euler_pairing, moduli_dimension, structure_sheaf_class
 from orbk3.inertia import (
     FIXED_POINT_TABLE,
     IdentityError,
@@ -198,20 +205,39 @@ def jordan_totient_2(m):
     return j2
 
 
-def jordan_closed_form(model):
-    """1/|G| + sum_m F_m J_2(m)/24 with no field arithmetic, F_m the sum of mult/|G_ij| over the
-    sectors of each eigenvalue zeta_m^e; it is the identity when F_m is the same for every unit e
-    mod m (the model is Galois-closed), since the conjugates sum to Tr 1/(1 - Re zeta_m) = J_2(m)/6."""
+def totient_and_mobius(m):
+    """(phi(m), mu(m)), in integers only."""
+    phi, mu, rest, p = m, 1, m, 2
+    while rest > 1:
+        if rest % p == 0:
+            rest //= p
+            phi, mu = phi // p * (p - 1), 0 if rest % p == 0 else -mu
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi, mu
+
+
+def galois_factors(model):
+    """m -> F_m, the sum of mult/|G_ij| over the sectors of one eigenvalue zeta_m^e, with no field
+    arithmetic; F_m must be the same for every unit e mod m (the model is Galois-closed)."""
     factors = {}
     for s in model.sectors:
         key = (s.eig_order, s.eig_exp % s.eig_order)
         factors[key] = factors.get(key, 0) + Fraction(s.multiplicity, s.stabilizer_order)
-    total = Fraction(1, model.group.order)
+    per_order = {}
     for m in {m for m, _ in factors}:
         per_unit = {factors.get((m, e), 0) for e in range(m) if gcd(e, m) == 1}
         assert len(per_unit) == 1, f"not Galois-closed at order {m}"
-        total += per_unit.pop() * jordan_totient_2(m) / 24
-    return total
+        per_order[m] = per_unit.pop()
+    return per_order
+
+
+def jordan_closed_form(model):
+    """1/|G| + sum_m F_m J_2(m)/24 (`galois_factors`): the identity of a Galois-closed model, since
+    the conjugates of zeta_m sum to Tr 1/(1 - Re zeta_m) = J_2(m)/6."""
+    total = sum((f * jordan_totient_2(m) for m, f in galois_factors(model).items()), Fraction(0))
+    return Fraction(1, model.group.order) + total / 24
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -240,6 +266,43 @@ def test_galois_closed_identity_is_jordans_totient(order_and_multiplicities):
     expected = Fraction(1, order)
     expected += sum(Fraction(f * jordan_totient_2(m), 24 * order) for m, f in multiplicities.items())
     assert validate_identity(model) == expected == jordan_closed_form(model)
+
+
+@pytest.mark.parametrize("n,tx", zip(range(2, 9), [42, 30, 22, 18, 14, 12, 10]))
+def test_preset_builtin_dimensions_in_closed_form(n, tx):
+    # with T(m) = J_2(m)/6 = sum over the units e of 1/(1 - Re zeta_m^e):
+    # <OX, OX> = 2/n + (1/2) sum_m F_m T(m); <Op, Op> = 0, as its twisted entries are 0; and, as
+    # (2 Re l)^2/(1 - Re l) = 4/(1 - Re l) - 4 - 4 Re l and the units sum Re zeta_m^e to mu(m),
+    # <TX, TX> = -88/n + (1/2) sum_m F_m (4T(m) - 4 phi(m) - 4 mu(m))
+    model = preset_cyclic(n)
+    terms = [(f, Fraction(jordan_totient_2(m), 6), *totient_and_mobius(m)) for m, f in galois_factors(model).items()]
+    pairings = {
+        "OX": Fraction(2, n) + sum(f * t for f, t, _, _ in terms) / 2,
+        "Op": 0,
+        "TX": Fraction(-88, n) + sum(f * (4 * t - 4 * phi - 4 * mu) for f, t, phi, mu in terms) / 2,
+    }
+    dimensions = {name: 2 - pairing for name, pairing in pairings.items()}
+    assert dimensions == {"OX": 0, "Op": 2, "TX": tx}
+    assert {name: moduli_dimension(model, BUILTIN_CLASSES[name](model)) for name in dimensions} == dimensions
+
+
+def test_solver_matches_the_integer_solve():
+    # sum_{d | m, d > 1} f_d T(d) = 4(m - 1), times 6: sum f_d J_2(d) = 24(m - 1), solved for
+    # m = 2..8 in order, so every divisor 1 < d < m is solved before m
+    solved = {}
+    for m in range(2, 9):
+        known = sum(f * jordan_totient_2(d) for d, f in solved.items() if m % d == 0)
+        count, rest = divmod(24 * (m - 1) - known, jordan_totient_2(m))
+        assert rest == 0
+        solved[m] = count
+    assert [solve_fixed_points_cyclic(m) for m in range(2, 9)] == list(solved.values()) == [8, 6, 4, 4, 2, 3, 2]
+
+
+@pytest.mark.parametrize("n", [210, 420, 720, 839, MAX_PARSED_FIELD_ORDER])
+def test_trig_sum_at_large_n_is_a_sum_of_jordans_totients(n):
+    # sum_{m | n} J_2(m) = n^2, and m = 1 gives J_2(1) = 1
+    closed_form = Fraction(sum(jordan_totient_2(m) for m in range(2, n + 1) if n % m == 0), 6)
+    assert sum_inverse_one_minus_cos(n) == closed_form == Fraction(n * n - 1, 6)
 
 
 def test_identity_inverts_once_per_eigenvalue_order(inverse_calls):

@@ -258,6 +258,28 @@ def test_only_polyring_reads_the_integer_modulus():
     assert readers == []
 
 
+def _class_attributes(cls):
+    """The names that cls's body binds: its defs and the names its assignments target."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def test_only_the_residue_kernel_multiplies():
+    # every ring product is `QuotientRingElement`'s; `Character` multiplies pointwise over its
+    # values, which are kernel elements, and no other class has a product of its own
+    multipliers = set()
+    for path in sorted(Path(orbk3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if {"__mul__", "__rmul__"} & set(_class_attributes(cls)):
+                multipliers.add(cls.name)
+    assert multipliers == {"QuotientRingElement", "Character"}
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10, so no module may use later syntax
     # (`except*`, `type X = ...`); the 3.10 grammar rejects both

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbk3.cyclotomic import Cyclotomic, root_of_unity
-from orbk3.groups import abelian_character_table, cyclic_group, trivial_character
-from orbk3.polyring import QuotientRing, QuotientRingElement, monomial
+from orbk3.cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity
+from orbk3.groups import abelian_character_table, char_inner_product, cyclic_group, trivial_character
+from orbk3.polyring import QuotientRing, QuotientRingElement, monomial, poly, poly_mul
 from orbk3.toystacks import (
     ChowP23Element,
     GroupRingElement,
@@ -266,6 +266,43 @@ def test_orbch_p23_periods():
     assert orbch_p23(6).untwisted[1] == 6
 
 
+def test_orbch_p23_is_the_residue_of_x_to_the_k():
+    # the powers of x by multiplication and inversion, against the residues of x^k by division
+    ring = orbch_p23(0).ring
+    for k in range(13):
+        assert orbch_p23(k) == ChowP23Element(ring, monomial(k))
+        assert orbch_p23(-k) * ChowP23Element(ring, monomial(k)) == 1
+
+
+def test_orbch_p23_components_print_in_their_fields():
+    # (1 + h)^k and (-1)^k are rationals in Q(zeta_1), the other two twists are in Q(zeta_6)
+    for k in range(-12, 13):
+        ch = orbch_p23(k)
+        assert list(map(repr, ch.untwisted + ch.twisted)) == [
+            "c[1]: 1", f"c[1]: {k}", f"c[1]: {(-1) ** (k % 2)}", repr(root_of_unity(6, k)), repr(root_of_unity(6, 5 * k))
+        ]
+
+
+def test_orbch_p23_unit_is_the_constant_1():
+    assert orbch_p23(0) == 1 and hash(orbch_p23(0)) == hash(1)
+
+
+def test_orbch_p23_takes_constants():
+    assert orbch_p23(1) * 2 == 2 * orbch_p23(1) == orbch_p23(1) + orbch_p23(1)
+
+
+def test_orbch_p23_maps_the_wps_relation_to_0_off_the_zeta_6_components():
+    # 1 - x^-2 - x^-3 + x^-5 is 0 in K(P(2,3)), whose modulus is (x - 1)^2 (x + 1) Phi_3,
+    # but orbch_p23 evaluates at zeta_6, not zeta_3
+    ring = wps_ring((2, 3))
+    assert ring.modulus == poly_mul(poly((1, -2, 1)), poly_mul(poly((1, 1)), cyclotomic_polynomial(3)))
+    assert wps_relation_element((2, 3)).is_zero()
+    image = 1 - orbch_p23(-2) - orbch_p23(-3) + orbch_p23(-5)
+    assert image.untwisted == (0, 0)
+    assert list(map(repr, image.twisted)) == ["c[1]: 0", "c[6]: 2 + 2*z", "c[6]: 4 + -2*z"]
+    assert 1 - root_of_unity(3, -2) - root_of_unity(3, -3) + root_of_unity(3, -5) == 0
+
+
 # -- B(mu_n) counting ---------------------------------------------------------
 
 
@@ -306,9 +343,14 @@ def test_bg_euler_pairing_is_hom_dimension():
     assert all(bg_euler_pairing(chi, total) == 1 for chi in table)
 
 
+def test_bg_euler_pairing_is_the_character_inner_product():
+    assert bg_euler_pairing is char_inner_product
+
+
 def test_residue_types_share_one_implementation():
     assert issubclass(Cyclotomic, QuotientRingElement)
     assert issubclass(GroupRingElement, QuotientRingElement)
+    assert issubclass(ChowP23Element, QuotientRingElement)
 
 
 def test_constant_group_ring_element_hashes_like_its_constant():
@@ -323,6 +365,7 @@ def test_cross_type_arithmetic_raises_type_error():
         Cyclotomic.one(),
         root_of_unity(4),
         QuotientRing([-1, 0, 1]).one,
+        orbch_p23(1),
     ]
     for a in elements:
         for b in elements:

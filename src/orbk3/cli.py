@@ -61,8 +61,8 @@ EXIT_INTERNAL = 4
 
 # Size limits on integer arguments, so that every accepted argv has a bounded cost.  Whole-process
 # `python -m orbk3.cli` wall time at the limits (2-vCPU x86-64, Python 3.11.7; `--version` takes
-# 0.14 s): parseval 0.2-0.35 s, hilb-enum 0.2-0.35 s; wps-euler 0.1 s on 8,8,8,8,8,8,8,8 and
-# 0.6-1.1 s on 5,6,7,8,9,9,10,10.
+# 0.14 s): parseval 0.2-0.35 s, hilb-enum 0.14-0.19 s (median of nine 0.17 s, 499 classes at
+# `--length 6`); wps-euler 0.1 s on 8,8,8,8,8,8,8,8 and 0.6-1.1 s on 5,6,7,8,9,9,10,10.
 PARSEVAL_MAX_N = 12
 PARSEVAL_MAX_TRIALS = 100
 HILB_MAX_LENGTH = 6

@@ -5,10 +5,11 @@ Phi_L is the L-th cyclotomic polynomial, so it shares the one residue
 arithmetic of `polyring`: equality is coefficient-wise, every operation is
 exact, and since Phi_L is irreducible every nonzero element inverts.  Phi_L
 is built in Z[x] from the primes of L, one substitution and one exact division
-per prime.  The field is a `QuotientRing` that holds the integer Phi_L; the powers
-of zeta_L, which are the residues of the monomials x^k, and the transform
-`toystacks.dft_inverse` hand it integer rows (`_residues`), reduced mod the monic
-Phi_L in Z with one Fraction per distinct value.
+per prime.  The field is a `QuotientRing` that holds the integer Phi_L.  It builds
+the powers of zeta_L, the residues of the monomials x^k, each from the one before
+(`_monomial_residues`), and the transform `toystacks.dft_inverse` hands it integer
+rows (`_residues`); both reduce mod the monic Phi_L in Z with one Fraction per
+distinct value.
 What is particular to the field lives here: operands of different orders meet
 in Q(zeta_lcm) (bounded in `_common_order`).  Every substitution x -> x^e is one
 `poly_fold`: in building Phi_L, and in embedding and conjugation, which reduce
@@ -94,9 +95,9 @@ def _field(L: int) -> QuotientRing:
 
 @lru_cache(maxsize=None)
 def _zeta_powers(L: int) -> tuple["Cyclotomic", ...]:
-    """zeta_L^k for k = 0..L-1: the field's `_residues` of the monomial rows x^k."""
+    """zeta_L^k for k = 0..L-1: the field's `_monomial_residues`, the residues of x^k."""
     one = Cyclotomic.one(L)
-    return tuple([one._new(r) for r in one.ring._residues([[0] * k + [1] for k in range(L)])])
+    return tuple([one._new(r) for r in one.ring._monomial_residues(L)])
 
 
 @lru_cache(maxsize=None)

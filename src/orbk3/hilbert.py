@@ -3,8 +3,9 @@
 Specialized machinery for the Nikulin-involution case (eight half-points,
 classes indexed by (n, m_1..m_8)) plus the general ADE/quiver dimension
 formula d = 2n + sum_i D_i^t M_i D_i over negative Cartan matrices.  Each
-mu_2 dimension is cross-checked against the orbifold Mukai pairing, a whole
-`enumerate_mu2` table over one evaluation of the sector weights.
+mu_2 dimension is cross-checked against the orbifold Mukai pairing: `dim_mu2`
+pairs in the cyclotomic field, `enumerate_mu2` a whole table in the integer form
+`hrr._integer_pairings`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cache
 from itertools import islice
 from math import isqrt
 
-from .hrr import OrbifoldMukaiVector, _orbifold_pairings, orbifold_mukai_pairing
+from .hrr import OrbifoldMukaiVector, _integer_pairings, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
 from .lattice import MukaiVector
 from .polyring import integer, integers
@@ -54,6 +55,12 @@ def length_mu2(c: HilbClassMu2) -> int:
     return 2 * c.n + sum(c.m)
 
 
+def _mukai_and_entries_mu2(c: HilbClassMu2) -> tuple[MukaiVector, tuple[int, ...]]:
+    """(v, a): the Mukai vector (1, 0, 1 - l) and the integer twisted entries 1 + 4 m_i of (n, m)."""
+    v = MukaiVector(1, mu2_model().lattice.zero_class(), 1 - length_mu2(c))
+    return v, tuple([1 + 4 * mi for mi in c.m])
+
+
 def omv_of_class_mu2(c: HilbClassMu2) -> OrbifoldMukaiVector:
     """The class of (n, m), its own orbifold Mukai vector:
     v~(n, m) = (1, 0, 1 - l, 1 + 4 m_1, ..., 1 + 4 m_8).
@@ -61,17 +68,13 @@ def omv_of_class_mu2(c: HilbClassMu2) -> OrbifoldMukaiVector:
     Only + (not the 1 - 4 m_i that subtracting basis vectors suggests) fits
     the quadratic dimension formula.
     """
-    ell = length_mu2(c)
-    return OrbifoldMukaiVector(
-        MukaiVector(1, mu2_model().lattice.zero_class(), 1 - ell),
-        tuple(1 + 4 * mi for mi in c.m),
-    )
+    return OrbifoldMukaiVector(*_mukai_and_entries_mu2(c))
 
 
 def _checked_dim(c: HilbClassMu2, pairing: Fraction) -> int:
     """d = 2(n - sum m_i^2), the ADE formula on eight A_1 points, once it equals 2 - pairing,
     the pairing being <v~(n,m)^2>."""
-    direct = dim_ade(c.n, [(mi,) for mi in c.m], [ade_form("A", 1)] * 8)
+    direct = dim_ade(c.n, [(mi,) for mi in c.m], _EIGHT_A1)
     if (via_pairing := 2 - pairing) != direct:
         raise CrossCheckError(
             f"dimension mismatch for {c}: quadratic form {direct}, pairing {via_pairing}"
@@ -121,7 +124,8 @@ def enumerate_mu2(length: int) -> list[EnumerationRow]:
 
     Rows with an empty solution set are omitted; dimensions are listed in
     the (deterministic lexicographic) order of the solutions.  Every class is
-    cross-checked as in `dim_mu2`, over one evaluation of the sector weights.
+    cross-checked against `dim_ade` as in `dim_mu2`, its pairing from the integer
+    form `hrr._integer_pairings`, over one evaluation of the sector weights.
     """
     length = integer(length)
     if length < 0:
@@ -129,8 +133,8 @@ def enumerate_mu2(length: int) -> list[EnumerationRow]:
     table = [(n, sols) for n in range(length + 1)
              if (sols := tuple(sorted(_vectors_with_sum_and_norm(length - 2 * n, n, 8))))]
     classes = [HilbClassMu2(n, m) for n, sols in table for m in sols]
-    omvs = [omv_of_class_mu2(c) for c in classes]
-    dims = iter(map(_checked_dim, classes, _orbifold_pairings(mu2_model(), zip(omvs, omvs))))
+    vectors = [_mukai_and_entries_mu2(c) for c in classes]
+    dims = iter(map(_checked_dim, classes, _integer_pairings(mu2_model(), zip(vectors, vectors))))
     rows = [EnumerationRow(length, n, len(sols), tuple(islice(dims, len(sols))), sols) for n, sols in table]
     assert all(d >= 0 and d % 2 == 0 for row in rows for d in row.dims)
     return rows
@@ -193,6 +197,9 @@ def ade_form(kind: str, rank: int) -> ADEForm:
     """The ADE form of the given type and rank."""
     rank = integer(rank)
     return ADEForm(kind, rank, _cartan_matrix(kind, rank))
+
+
+_EIGHT_A1 = (ade_form("A", 1),) * 8  # the eight A_1 points of the Nikulin involution
 
 
 def dim_ade(n: int, divisors, forms) -> int:

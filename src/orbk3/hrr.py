@@ -13,15 +13,17 @@ with all arithmetic in a cyclotomic field, so results are exact rationals
 whenever they are rational (and an ExactnessError otherwise).  The twisted
 sum is accumulated once, in Q[x]/(x^L - 1) with L the lcm of the weight and
 entry orders, and reduced mod Phi_L once (`cyclotomic.galois_sum`, e = -1);
-it is then halved and the untwisted term <v, w>_X / |G| added once.  A batch
-of pairs, such as a whole `hilbert.enumerate_mu2` table, shares one evaluation
-of the sector weights.
+it is then halved and the untwisted term <v, w>_X / |G| added once; this field
+path serves every class.  On integer twisted entries, such as those of a
+`hilbert.enumerate_mu2` table, `_integer_pairings` evaluates the same pairing as
+a rational form, over one reading of the sector weights and with no field arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import Cyclotomic, format_cyclotomic, galois_sum, parse_cyclotomic
 from .inertia import K3GModel
@@ -77,19 +79,34 @@ def orbifold_mukai_vector(model: K3GModel, x: EquivariantClass) -> OrbifoldMukai
     return x
 
 
-def _orbifold_pairings(model: K3GModel, pairs) -> list[Fraction]:
-    """<v~, w~> for each (v, w) in pairs, all over one evaluation of the sector weights."""
-    pairs = [(orbifold_mukai_vector(model, v), orbifold_mukai_vector(model, w)) for v, w in pairs]
-    weights, pairings = model.sector_weights(), []
-    for v, w in pairs:
-        twisted = galois_sum((c, a, -1, b) for c, a, b in zip(weights, v.local_chars, w.local_chars))
-        untwisted = Fraction(mukai_pairing(model.lattice, v.mukai, w.mukai), model.group.order)
-        pairings.append((twisted * Fraction(1, 2) + untwisted).as_rational())
-    return pairings
-
-
 def orbifold_mukai_pairing(model: K3GModel, v: OrbifoldMukaiVector, w: OrbifoldMukaiVector) -> Fraction:
-    return _orbifold_pairings(model, [(v, w)])[0]
+    v, w, weights = orbifold_mukai_vector(model, v), orbifold_mukai_vector(model, w), model.sector_weights()
+    twisted = galois_sum((c, a, -1, b) for c, a, b in zip(weights, v.local_chars, w.local_chars))
+    untwisted = Fraction(mukai_pairing(model.lattice, v.mukai, w.mukai), model.group.order)
+    return (twisted * Fraction(1, 2) + untwisted).as_rational()
+
+
+def _integer_pairings(model: K3GModel, pairs) -> list[Fraction]:
+    """<v~, w~> for each ((v, a), (w, b)) in pairs, v and w MukaiVectors and a and b integer
+    twisted entries, over one evaluation of the sector weights.
+
+    An integer entry is real, so conj(a_s) b_s = a_s b_s, and the pairing is the rational form
+    <v, w>_X / |G| + sum P_s a_s b_s / 2D, P_s / D the weights over one denominator D.  A weight
+    that is not rational raises ExactnessError.
+    """
+    weights = [Cyclotomic.coerce(c).as_rational() for c in model.sector_weights()]
+    D = lcm(*[c.denominator for c in weights])
+    P, order = [c.numerator * (D // c.denominator) for c in weights], model.group.order
+    pairings = []
+    for (v, a), (w, b) in pairs:
+        if len(a) != len(P) or len(b) != len(P):
+            raise SectorMismatchError(
+                f"classes have {len(a)} and {len(b)} twisted entries, model has {len(P)} sectors"
+            )
+        twisted = sum([p * x * y for p, x, y in zip(P, a, b)])
+        untwisted = mukai_pairing(model.lattice, v, w)
+        pairings.append(Fraction(2 * D * untwisted + order * twisted, 2 * D * order))
+    return pairings
 
 
 def euler_pairing(model: K3GModel, x: EquivariantClass, y: EquivariantClass) -> Fraction:

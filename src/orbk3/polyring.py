@@ -7,10 +7,12 @@ all residue arithmetic; Q(zeta_L) and Z[x]/(x^n - 1) are subclasses of it.
 `QuotientRing` is the one place a residue is built and the one division: it
 keeps its modulus's integer numerators, and `_residues` reduces integer rows
 over one denominator by `_pseudo_divmod` in Z[x], with no quotient and one
-Fraction per distinct value; `poly_inverse_mod` inverts on the same integer
-rows.  `integer` and `integers` are the one integer coercion of every loader,
-and `poly` the one exact-coefficient coercion: a coefficient is an int or a
-Fraction; a bool, float, str or other type raises TypeError.
+Fraction per distinct value; `_monomial_residues` builds the residues of x^k
+for a monic modulus, each row from the one before, and `poly_inverse_mod`
+inverts on the same integer rows.  `integer` and `integers` are the one integer
+coercion of every loader, and `poly` the one exact-coefficient coercion: a
+coefficient is an int or a Fraction; a bool, float, str or other type raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -198,6 +200,25 @@ class QuotientRing:
         T = lcm(*[S for _, S in pairs])
         rows = [[c * (T // S) for c in row] + [0] * (deg - len(row)) for row, S in pairs]
         frac = {c: Fraction(c, d * T) for c in set().union(*rows)}
+        return [tuple([frac[c] for c in row]) for row in rows]
+
+    def _monomial_residues(self, n: int) -> list[Coeffs]:
+        """The canonical residues of x^k for k = 0..n-1; the modulus must be monic (Phi_L).
+
+        Each row is the row before it times x: one shift, then one subtraction of c*M, c the
+        coefficient shifted to x^(deg m) and M the integer modulus, which cancels it.  The rows
+        stay in Z and share one Fraction per distinct value.
+        """
+        M = self._integer_modulus
+        assert M[-1] == 1
+        terms = [(j, b) for j, b in enumerate(M[:-1]) if b]
+        row, rows = [1] + [0] * (self.degree - 1), []
+        for _ in range(n):
+            rows.append(row)
+            c, row = row[-1], [0] + row[:-1]
+            for j, b in terms:
+                row[j] -= c * b
+        frac = {c: Fraction(c) for c in set().union(*rows)}
         return [tuple([frac[c] for c in row]) for row in rows]
 
     def reduce(self, p: Iterable) -> "QuotientRingElement":

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import orbk3
-from orbk3 import polyring
+from orbk3 import cyclotomic, polyring
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +49,20 @@ def inverse_calls(monkeypatch) -> list:
         return inverse(A, M)
 
     _patch_everywhere(monkeypatch, inverse, counted)
+    return calls
+
+
+@pytest.fixture
+def galois_sum_calls(monkeypatch) -> list:
+    """The terms of every call to the one twisted-sum kernel, `cyclotomic.galois_sum`, under each
+    name it is imported by."""
+    calls, galois_sum = [], cyclotomic.galois_sum
+
+    def counted(terms):
+        calls.append(terms := list(terms))
+        return galois_sum(terms)
+
+    _patch_everywhere(monkeypatch, galois_sum, counted)
     return calls
 
 

@@ -1,10 +1,13 @@
 """Equivariant Hilbert classes for the involution case and ADE forms."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbk3.hilbert import (
+    CrossCheckError,
     EnumerationRow,
     HilbClassMu2,
     HilbertError,
@@ -141,6 +144,34 @@ def test_one_weight_evaluation_per_table_and_per_class(monkeypatch):
     dim_mu2(c)
     enumerate_mu2(2)
     assert len(calls) == 3
+
+
+def test_enumeration_work_budget(inverse_calls, galois_sum_calls):
+    # a table pairs through the integer form: no twisted sum in the field, and only the eight
+    # inverses (in Q(zeta_2), degree 1) of its one weight evaluation; a single class keeps the
+    # field path, one twisted sum over the eight sectors
+    mu2_model()
+    for length in range(7):
+        inverse_calls.clear()
+        enumerate_mu2(length)
+        assert (inverse_calls, galois_sum_calls) == ([1] * 8, []), length
+    inverse_calls.clear()
+    dim_mu2(HilbClassMu2(1, (0,) * 8))
+    assert (inverse_calls, [len(terms) for terms in galois_sum_calls]) == ([1] * 8, [8])
+
+
+def test_enumeration_cross_check_catches_a_wrong_weight(monkeypatch):
+    # one weight of 1/3 in place of 1/4 moves every pairing by (1 + 4 m_1)^2 / 24, which is never 0
+    weights = K3GModel.sector_weights
+
+    def wrong(model):
+        return (Fraction(1, 3), *weights(model)[1:])
+
+    mu2_model()
+    monkeypatch.setattr(K3GModel, "sector_weights", wrong)
+    for length in range(4):
+        with pytest.raises(CrossCheckError, match="dimension mismatch"):
+            enumerate_mu2(length)
 
 
 def test_enumeration_negative_length():

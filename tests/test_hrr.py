@@ -23,7 +23,7 @@ from orbk3.hrr import (
     BUILTIN_CLASSES,
     EquivariantClass,
     SectorMismatchError,
-    _orbifold_pairings,
+    _integer_pairings,
     euler_pairing,
     generic_point_class,
     moduli_dimension,
@@ -32,6 +32,7 @@ from orbk3.hrr import (
     structure_sheaf_class,
     tangent_bundle_class,
 )
+from orbk3.hilbert import HilbClassMu2, _mukai_and_entries_mu2, mu2_model
 from orbk3.inertia import preset_cyclic, trivial_model
 from orbk3.lattice import MukaiVector, mukai_pairing
 
@@ -175,11 +176,55 @@ def test_self_pairing_of_builtin_classes_is_rational_integer():
             assert value.denominator == 1
 
 
-def test_pairing_is_the_batch_pairing_of_one_pair():
-    for model in [trivial_model()] + [preset_cyclic(n) for n in range(2, 9)]:
-        classes = [make(model) for make in BUILTIN_CLASSES.values()]
-        pairs = [(x, y) for x in classes for y in classes]
-        assert _orbifold_pairings(model, pairs) == [orbifold_mukai_pairing(model, x, y) for x, y in pairs]
+def _integer_class(model, data, scalars=st.integers(-50, 50)):
+    # a Mukai vector plus integer twisted entries, the input of the integer form
+    mukai = MukaiVector(
+        data.draw(scalars), tuple(data.draw(scalars) for _ in model.lattice.zero_class()), data.draw(scalars)
+    )
+    return mukai, tuple(data.draw(scalars) for _ in model.sectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_pairings_match_euler_pairing_on_mu2_classes(data):
+    # a self-pairing as in an enumerate_mu2 table, and the pairings of two different classes
+    model = mu2_model()
+    draw_class = st.builds(HilbClassMu2, st.integers(0, 10), st.tuples(*[st.integers(-3, 3)] * 8))
+    x, y = (_mukai_and_entries_mu2(data.draw(draw_class)) for _ in range(2))
+    pairs = [(x, x), (x, y), (y, x)]
+    expected = [euler_pairing(model, EquivariantClass(*v), EquivariantClass(*w)) for v, w in pairs]
+    assert _integer_pairings(model, pairs) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 4, 6]), st.data())
+def test_integer_pairings_match_euler_pairing_on_rational_weights(n, data):
+    # every sector weight of these presets is rational (1 is the trivial model, with no sectors)
+    model = trivial_model() if n == 1 else _cached_preset(n)
+    x, y = _integer_class(model, data), _integer_class(model, data)
+    pairs = [(x, x), (x, y), (y, x)]
+    expected = [euler_pairing(model, EquivariantClass(*v), EquivariantClass(*w)) for v, w in pairs]
+    got = _integer_pairings(model, pairs)
+    assert got == expected and all(type(value) is Fraction for value in got)
+
+
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_integer_pairings_need_rational_weights(n):
+    # 1/(1 - cos(2 pi/n)) is irrational for n = 5, 7 and 8: the form has no rational coefficients
+    model = preset_cyclic(n)
+    ox = structure_sheaf_class(model)
+    with pytest.raises(ExactnessError):
+        _integer_pairings(model, [((ox.mukai, (1,) * len(model.sectors)),) * 2])
+    with pytest.raises(ExactnessError):
+        _integer_pairings(model, [])
+
+
+@pytest.mark.parametrize("entries", [7, 9], ids=["too-few", "too-many"])
+def test_integer_pairings_check_the_sector_count(entries):
+    model = preset_cyclic(2)
+    ox = structure_sheaf_class(model)
+    with pytest.raises(SectorMismatchError):
+        _integer_pairings(model, [((ox.mukai, (1,) * 8), (ox.mukai, (1,) * entries))])
 
 
 def test_equivariant_class_json_round_trip():

@@ -36,6 +36,7 @@ from .groups import GroupError
 from .hilbert import CrossCheckError, HilbertError, enumerate_mu2
 from .hrr import BUILTIN_CLASSES, EquivariantClass, SectorMismatchError, euler_pairing
 from .inertia import (
+    MAX_SYMPLECTIC_ORDER,
     IdentityError,
     K3GModel,
     ModelError,
@@ -130,7 +131,11 @@ def _check_range(flag: str, value: int, low: int, high: int) -> None:
 
 def cmd_fixed_points(args):
     n = args.order
-    count = solve_fixed_points_cyclic(n)
+    _check_range("--order", n, 2, MAX_SYMPLECTIC_ORDER)
+    try:
+        count = solve_fixed_points_cyclic(n)
+    except ModelError as exc:  # the order is in range, so the solve itself is inconsistent
+        raise ConsistencyError(str(exc)) from exc
     closed = fixed_points_closed_form(n)
     if count != closed:
         raise ConsistencyError(f"solver {count} != closed form {closed}")

@@ -2,10 +2,10 @@
 
 Specialized machinery for the Nikulin-involution case (eight half-points,
 classes indexed by (n, m_1..m_8)) plus the general ADE/quiver dimension
-formula d = 2n + sum_i D_i^t M_i D_i over negative Cartan matrices.  Each
-mu_2 dimension is cross-checked against the orbifold Mukai pairing: `dim_mu2`
-pairs in the cyclotomic field, `enumerate_mu2` a whole table in the integer form
-`hrr._integer_pairings`.
+formula d = 2n + sum_i D_i^t M_i D_i over negative Cartan matrices, each D^t M D
+one call to the integer-form kernel `lattice.integer_form`.  Each mu_2 dimension
+is cross-checked against the orbifold Mukai pairing: `dim_mu2` pairs in the
+cyclotomic field, `enumerate_mu2` a table in the integer form `hrr._integer_pairings`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import isqrt
 
 from .hrr import OrbifoldMukaiVector, _integer_pairings, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
-from .lattice import MukaiVector
+from .lattice import MukaiVector, integer_form
 from .polyring import integer, integers
 
 
@@ -103,7 +103,7 @@ class EnumerationRow:
 
 
 def _vectors_with_sum_and_norm(total: int, norm_bound: int, slots: int):
-    """All integer vectors of given length with fixed sum and bounded square-sum."""
+    """All integer vectors of given length with fixed sum and bounded square-sum, in lexicographic order."""
     if slots == 0:
         if total == 0:
             yield ()
@@ -122,21 +122,21 @@ def _vectors_with_sum_and_norm(total: int, norm_bound: int, slots: int):
 def enumerate_mu2(length: int) -> list[EnumerationRow]:
     """Exhaustive solution tables S(l, n) = {m : sum m_i = l - 2n, sum m_i^2 <= n}.
 
-    Rows with an empty solution set are omitted; dimensions are listed in
-    the (deterministic lexicographic) order of the solutions.  Every class is
-    cross-checked against `dim_ade` as in `dim_mu2`, its pairing from the integer
-    form `hrr._integer_pairings`, over one evaluation of the sector weights.
+    Rows with an empty solution set are omitted; dimensions are listed in the lexicographic
+    order in which `_vectors_with_sum_and_norm` yields the solutions.  Every class is cross-checked
+    against `dim_ade` as in `dim_mu2`, its pairing from the integer form `hrr._integer_pairings`
+    over one evaluation of the sector weights; a negative or odd dimension raises CrossCheckError.
     """
-    length = integer(length)
-    if length < 0:
+    if (length := integer(length)) < 0:
         raise HilbertError("length must be non-negative")
     table = [(n, sols) for n in range(length + 1)
-             if (sols := tuple(sorted(_vectors_with_sum_and_norm(length - 2 * n, n, 8))))]
+             if (sols := tuple(_vectors_with_sum_and_norm(length - 2 * n, n, 8)))]
     classes = [HilbClassMu2(n, m) for n, sols in table for m in sols]
     vectors = [_mukai_and_entries_mu2(c) for c in classes]
     dims = iter(map(_checked_dim, classes, _integer_pairings(mu2_model(), zip(vectors, vectors))))
     rows = [EnumerationRow(length, n, len(sols), tuple(islice(dims, len(sols))), sols) for n, sols in table]
-    assert all(d >= 0 and d % 2 == 0 for row in rows for d in row.dims)
+    if bad := [(d, r.n, m) for r in rows for d, m in zip(r.dims, r.solutions) if d < 0 or d % 2]:
+        raise CrossCheckError("dimension %d of the class n = %d, m = %s is negative or odd" % bad[0])
     return rows
 
 
@@ -158,13 +158,8 @@ class ADEForm:
             raise HilbertError(f"matrix is not the negative Cartan matrix of {self.kind}{self.rank}")
 
     def pair(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        a, b = integers(a), integers(b)
-        if len(a) != self.rank or len(b) != self.rank:
-            raise HilbertError("divisor vector length does not match the form rank")
-        return sum(
-            a[i] * self.matrix[i][j] * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
+        return integer_form(
+            self.matrix, a, b, HilbertError, "divisor vector length does not match the form rank"
         )
 
 
@@ -195,8 +190,7 @@ def _cartan_matrix(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 def ade_form(kind: str, rank: int) -> ADEForm:
     """The ADE form of the given type and rank."""
-    rank = integer(rank)
-    return ADEForm(kind, rank, _cartan_matrix(kind, rank))
+    return ADEForm(kind, rank, _cartan_matrix(kind, integer(rank)))
 
 
 _EIGHT_A1 = (ade_form("A", 1),) * 8  # the eight A_1 points of the Nikulin involution

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import Cyclotomic, format_cyclotomic, galois_sum, parse_cyclotomic
 from .inertia import K3GModel
 from .lattice import MukaiVector, mukai_pairing
+from .polyring import _numerators
 
 
 class SectorMismatchError(ValueError):
@@ -94,9 +94,7 @@ def _integer_pairings(model: K3GModel, pairs) -> list[Fraction]:
     <v, w>_X / |G| + sum P_s a_s b_s / 2D, P_s / D the weights over one denominator D.  A weight
     that is not rational raises ExactnessError.
     """
-    weights = [Cyclotomic.coerce(c).as_rational() for c in model.sector_weights()]
-    D = lcm(*[c.denominator for c in weights])
-    P, order = [c.numerator * (D // c.denominator) for c in weights], model.group.order
+    P, D = _numerators([Cyclotomic.coerce(c).as_rational() for c in model.sector_weights()])
     pairings = []
     for (v, a), (w, b) in pairs:
         if len(a) != len(P) or len(b) != len(P):
@@ -105,7 +103,7 @@ def _integer_pairings(model: K3GModel, pairs) -> list[Fraction]:
             )
         twisted = sum([p * x * y for p, x, y in zip(P, a, b)])
         untwisted = mukai_pairing(model.lattice, v, w)
-        pairings.append(Fraction(2 * D * untwisted + order * twisted, 2 * D * order))
+        pairings.append(Fraction(2 * D * untwisted + model.group.order * twisted, 2 * D * model.group.order))
     return pairings
 
 

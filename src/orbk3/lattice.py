@@ -1,9 +1,9 @@
 """Mukai lattice of a polarized K3 surface.
 
-Picard Gram matrices, Mukai vectors with the pairing v0*w2 - v1*w1 + v2*w0,
-Hilbert polynomials and slopes for the fixed polarization, and the
-hypothesis predicates used to decide when moduli of stable sheaves are
-smooth irreducible symplectic manifolds.
+Picard Gram matrices, Mukai vectors with the pairing v0*w2 - v1*w1 + v2*w0, Hilbert
+polynomials and slopes for the fixed polarization, and the hypothesis predicates used to
+decide when moduli of stable sheaves are smooth irreducible symplectic manifolds.
+`integer_form` evaluates a^t M b on integer vectors for the Picard lattice and the ADE forms.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ def _sequence(value, what: str):
     return value
 
 
+def integer_form(matrix, a, b, error: type[ValueError], message: str) -> int:
+    """a^t M b on integer vectors (`polyring.integers`); error(message) if a length is not M's rank."""
+    a, b = integers(a), integers(b)
+    if len(a) != len(matrix) or len(b) != len(matrix):
+        raise error(message)
+    return sum(x * m * y for x, row in zip(a, matrix) for m, y in zip(row, b))
+
+
 class PicardLattice:
     """A sublattice of NS(X) with a fixed ample class.
 
@@ -46,26 +54,21 @@ class PicardLattice:
         rank = len(g)
         if any(len(row) != rank for row in g):
             raise LatticeError("Gram matrix must be square")
-        for i in range(rank):
-            if g[i][i] % 2 != 0:
+        for i, row in enumerate(g):
+            if row[i] % 2 != 0:
                 raise LatticeError("K3 intersection form must be even")
-            for j in range(rank):
-                if g[i][j] != g[j][i]:
-                    raise LatticeError("Gram matrix must be symmetric")
+            if row != tuple(r[i] for r in g):
+                raise LatticeError("Gram matrix must be symmetric")
         h = integers(_sequence(ample, "ample class"))
-        if len(h) != rank:
-            raise LatticeError("ample class length must equal rank")
+        h_squared = integer_form(g, h, h, LatticeError, "ample class length must equal rank")
+        if rank > 0 and h_squared <= 0:
+            raise LatticeError("ample class must have positive self-intersection")
         self.gram = g
         self.rank = rank
         self.ample = h
-        if rank > 0 and self.intersect(h, h) <= 0:
-            raise LatticeError("ample class must have positive self-intersection")
 
     def intersect(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        a, b = integers(a), integers(b)
-        if len(a) != self.rank or len(b) != self.rank:
-            raise LatticeError("class length does not match lattice rank")
-        return sum(a[i] * self.gram[i][j] * b[j] for i in range(self.rank) for j in range(self.rank))
+        return integer_form(self.gram, a, b, LatticeError, "class length does not match lattice rank")
 
     def degree(self, a: tuple[int, ...]) -> int:
         """(a . h) against the fixed polarization."""
@@ -143,8 +146,7 @@ class MukaiVector:
         return MukaiVector(k * self.r, tuple(k * x for x in self.c1), k * self.s)
 
     def is_primitive(self) -> bool:
-        g = gcd(gcd(self.r, self.s), gcd(*self.c1) if self.c1 else 0)
-        return g == 1
+        return gcd(self.r, self.s, *self.c1) == 1
 
     def to_json(self) -> dict:
         return {"r": self.r, "c1": list(self.c1), "s": self.s}

@@ -3,11 +3,12 @@
 import gc
 import sys
 import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 
 import orbk3
-from orbk3 import cyclotomic, polyring
+from orbk3 import cyclotomic, lattice, polyring
 
 
 @pytest.fixture(scope="session")
@@ -38,60 +39,52 @@ def _patch_everywhere(monkeypatch, original, replacement) -> None:
                     monkeypatch.setattr(module, key, replacement)
 
 
+def _record_calls(monkeypatch, kernel, record) -> list:
+    """A list that gets record(*args) for every call to kernel under each name it is imported by
+    (`_patch_everywhere`); an iterator argument is read into a list first, so that record and the
+    kernel both see all of it."""
+    calls = []
+
+    def counted(*args):
+        args = [list(x) if isinstance(x, Iterator) else x for x in args]
+        calls.append(record(*args))
+        return kernel(*args)
+
+    _patch_everywhere(monkeypatch, kernel, counted)
+    return calls
+
+
 @pytest.fixture
 def inverse_calls(monkeypatch) -> list:
     """The field degree of every call to the one inversion kernel, `poly_inverse_mod(A, M)`:
     A a residue's integer numerator and M the modulus's, so the degree is len(M) - 1."""
-    calls, inverse = [], polyring.poly_inverse_mod
-
-    def counted(A, M):
-        calls.append(len(M) - 1)
-        return inverse(A, M)
-
-    _patch_everywhere(monkeypatch, inverse, counted)
-    return calls
+    return _record_calls(monkeypatch, polyring.poly_inverse_mod, lambda A, M: len(M) - 1)
 
 
 @pytest.fixture
 def galois_sum_calls(monkeypatch) -> list:
-    """The terms of every call to the one twisted-sum kernel, `cyclotomic.galois_sum`, under each
-    name it is imported by."""
-    calls, galois_sum = [], cyclotomic.galois_sum
-
-    def counted(terms):
-        calls.append(terms := list(terms))
-        return galois_sum(terms)
-
-    _patch_everywhere(monkeypatch, galois_sum, counted)
-    return calls
+    """The terms, as a list, of every call to the one twisted-sum kernel, `cyclotomic.galois_sum`."""
+    return _record_calls(monkeypatch, cyclotomic.galois_sum, list)
 
 
 @pytest.fixture
 def mul_calls(monkeypatch) -> list:
-    """The operand lengths of every call to the one multiplication kernel, `poly_mul`, under each
-    name it is imported by."""
-    calls, mul = [], polyring.poly_mul
-
-    def counted(p, q):
-        calls.append((len(p), len(q)))
-        return mul(p, q)
-
-    _patch_everywhere(monkeypatch, mul, counted)
-    return calls
+    """The operand lengths of every call to the one multiplication kernel, `poly_mul`."""
+    return _record_calls(monkeypatch, polyring.poly_mul, lambda p, q: (len(p), len(q)))
 
 
 @pytest.fixture
 def fold_calls(monkeypatch) -> list:
-    """(e, n) of every call to the one substitution kernel, `poly_fold`, under each name it is
-    imported by, so a hand-written x -> x^e in place of a call shows up as a missing call."""
-    calls, fold = [], polyring.poly_fold
+    """(e, n) of every call to the one substitution kernel, `poly_fold`, so a hand-written
+    x -> x^e in place of a call shows up as a missing call."""
+    return _record_calls(monkeypatch, polyring.poly_fold, lambda p, e, n: (e, n))
 
-    def counted(p, e, n):
-        calls.append((e, n))
-        return fold(p, e, n)
 
-    _patch_everywhere(monkeypatch, fold, counted)
-    return calls
+@pytest.fixture
+def form_calls(monkeypatch) -> list:
+    """The rank of M in every call to the one integer-form kernel, `lattice.integer_form`, so a
+    hand-written sum of a_i M_ij b_j in place of a call shows up as a missing call."""
+    return _record_calls(monkeypatch, lattice.integer_form, lambda M, a, b, error, message: len(M))
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbk3
-from orbk3 import cli
+from orbk3 import cli, inertia
 from orbk3.cli import main
 from orbk3.cyclotomic import ExactnessError
 from orbk3.hrr import BUILTIN_CLASSES, tangent_bundle_class
@@ -480,6 +480,16 @@ def _raise_exactness(*args):
     raise ExactnessError("not a rational element")
 
 
+def _scaled_weight(lam, inverse=inertia.inverse_one_minus_re):
+    """3/2 times the sector weight 1/(1 - Re lambda), so the fixed-point solve is not integral."""
+    return inverse(lam) * Fraction(3, 2)
+
+
+def _one_class_past_the_norm_bound(total, norm_bound, slots):
+    """The one vector (total, 0, ..., 0) whatever the bound: for n = 0 and total 1, sum m_i^2 > n."""
+    return [(total,) + (0,) * (slots - 1)]
+
+
 # A failed self-check in a subcommand: (dotted name patched where the check calls it,
 # replacement, argv, exit code, stderr prefix).  The unit identity runs where the model
 # is built, so verify-identity fails through `inertia.validate_identity`.
@@ -501,6 +511,16 @@ FAILURE_BRANCHES = {
     ),
     "dim-preset-builtin-irrational": (
         "orbk3.cli.euler_pairing", _raise_exactness, ["dim", "--preset", "cyclic:2", "--class", "TX"], 4, CONSISTENCY,
+    ),
+    # an order in range whose solve is not integral: the solver, not the argument, is at fault
+    "fixed-points-solve": (
+        "orbk3.inertia.inverse_one_minus_re", _scaled_weight, ["fixed-points", "--order", "4"],
+        4, CONSISTENCY + "fixed point solve for n=2 gave non-integer 16/3",
+    ),
+    # a class of negative dimension in the table, on which the pairing and dim_ade agree
+    "hilb-enum-negative-dimension": (
+        "orbk3.hilbert._vectors_with_sum_and_norm", _one_class_past_the_norm_bound, ["hilb-enum", "--length", "1"],
+        4, CONSISTENCY + "dimension -2 of the class n = 0, m = (1, 0, 0, 0, 0, 0, 0, 0) is negative or odd",
     ),
 }
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbk3.hilbert import HilbClassMu2, _checked_dim, ade_form, dim_ade
 from orbk3.lattice import (
     INFINITE_SLOPE,
     LatticeError,
@@ -187,3 +188,25 @@ def test_json_round_trips():
         PicardLattice.from_json({"gram": [[2]]})
     with pytest.raises(LatticeError):
         MukaiVector.from_json({"r": 1, "s": 2})
+
+
+# Every integer pairing is one call or more to the one kernel, `integer_form`: (call, value, the
+# rank of M in each kernel call).  A hand-written sum of a_i M_ij b_j shows up as a missing call.
+_ELLIPTIC, _A1, _A3 = elliptic_k3_lattice(), ade_form("A", 1), ade_form("A", 3)
+_V = MukaiVector(1, (1, 0), 0)
+FORM_ENTRY_POINTS = {
+    "intersect": (lambda: _ELLIPTIC.intersect((1, 0), (0, 1)), 1, [2]),
+    "degree": (lambda: _ELLIPTIC.degree((0, 1)), 1, [2]),
+    "h_squared": (lambda: _ELLIPTIC.h_squared, 4, [2]),
+    "mukai_pairing": (lambda: mukai_pairing(_ELLIPTIC, _V, _V), 2, [2]),
+    "ADEForm.pair": (lambda: _A3.pair((1, 1, 1), (1, 1, 1)), -2, [3]),
+    "dim_ade": (lambda: dim_ade(2, [(1, 1, 1), (1,)], [_A3, _A1]), 0, [3, 1]),
+    # the mu_2 cross-check: d = 2(n - sum m_i^2) over eight A_1 points, equal to 2 - pairing
+    "_checked_dim": (lambda: _checked_dim(HilbClassMu2(1, (1,) + (0,) * 7), Fraction(2)), 0, [1] * 8),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FORM_ENTRY_POINTS))
+def test_integer_pairings_run_through_the_one_kernel(form_calls, entry):
+    call, value, ranks = FORM_ENTRY_POINTS[entry]
+    assert (call(), form_calls) == (value, ranks)

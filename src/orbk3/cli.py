@@ -2,12 +2,14 @@
 
 Every number is printed exactly: rationals as p/q, cyclotomic values in the
 `c[L]: ...` format.  Each subcommand returns (JSON payload, text) and `main`
-prints one of them.  A subcommand fails by raising; `main` maps the exception
-type to the exit code and one stderr line: 0 success; 2 usage or schema error
-("error: ..."), also for model or class files whose pairing is not rational
-or is too long to print; 3 model-integrity failure, a unit identity that is
-not 1, rational or not ("model integrity failure: ..."); 4 internal-consistency
-failure ("internal consistency failure: ...").
+prints one of them.  A subcommand fails by raising, and the exception's type
+alone sets the exit code and the one stderr line: 0 success; 2 an `InputError`,
+a usage or schema error ("error: ..."), also for model or class files whose
+pairing is not rational or is too long to print; 3 an `IdentityError`, a unit
+identity that is not 1, rational or not ("model integrity failure: ..."); 4 a
+`ConsistencyError` or `ExactnessError` ("internal consistency failure: ...").
+The two bases are `polyring`'s, and every error class of the library derives
+from one of them or is `ExactnessError`.
 
 --model and --preset are exclusive.  Values of field orders L1, ..., Lk meet
 in Q(zeta_M), M = lcm(L1, ..., Lk); a computation that would build a field of
@@ -31,29 +33,21 @@ import sys
 from functools import cache
 
 from . import __version__
-from .cyclotomic import MAX_INT_DIGITS, AmbientFieldError, ExactnessError
-from .groups import GroupError
-from .hilbert import CrossCheckError, HilbertError, enumerate_mu2
-from .hrr import BUILTIN_CLASSES, EquivariantClass, SectorMismatchError, euler_pairing
+from .cyclotomic import ExactnessError, _bounded_int, _read_json
+from .hilbert import enumerate_mu2
+from .hrr import BUILTIN_CLASSES, EquivariantClass, euler_pairing
 from .inertia import (
     MAX_SYMPLECTIC_ORDER,
     IdentityError,
-    K3GModel,
-    ModelError,
     fixed_points_closed_form,
+    load_model,
     preset_cyclic,
     solve_fixed_points_cyclic,
     trivial_model,
 )
-from .lattice import LatticeError, MukaiVector, PicardLattice, check_hypotheses, hypotheses_at_degree
-from .polyring import format_poly
-from .toystacks import (
-    GroupRingElement,
-    ToyStackError,
-    _wps_euler_and_relation,
-    bg_moduli_count,
-    parseval_check,
-)
+from .lattice import MukaiVector, PicardLattice, check_hypotheses, hypotheses_at_degree
+from .polyring import ConsistencyError, InputError, format_poly
+from .toystacks import GroupRingElement, _wps_euler_and_relation, bg_moduli_count, parseval_check
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,22 +70,6 @@ WPS_MAX_WEIGHT_SUM = 64
 _MAX_PRINTED_DIGITS = 4000
 
 
-def _bounded_int(text: str) -> int:
-    """int(text); ValueError beyond MAX_INT_DIGITS digits, before any conversion."""
-    if len(text.strip().lstrip("+-")) > MAX_INT_DIGITS:
-        raise ValueError(f"integer of more than {MAX_INT_DIGITS} digits")
-    return int(text)
-
-
-def _read_json(path: str, what: str):
-    """The JSON document in a file; UsageError if it cannot be read or decoded."""
-    try:
-        with open(path) as f:
-            return json.load(f, parse_int=_bounded_int)
-    except (OSError, RecursionError, ValueError) as exc:
-        raise UsageError(f"cannot read {what}: {exc}") from exc
-
-
 def _int_list(flag: str, text: str) -> tuple[int, ...]:
     """A comma-separated list of integers; UsageError otherwise."""
     try:
@@ -103,7 +81,7 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
 def _load_preset_or_model(args, validate: bool):
     """The model of --model or --preset; presets check the unit identity always."""
     if args.model:
-        return K3GModel.from_json(_read_json(args.model, "model"), validate=validate)
+        return load_model(args.model, validate=validate)
     spec = args.preset or "cyclic:2"
     if spec == "trivial":
         return trivial_model()
@@ -116,12 +94,8 @@ def _load_preset_or_model(args, validate: bool):
     raise UsageError(f"unknown preset {spec!r}; use trivial or cyclic:N")
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
-
-
-class ConsistencyError(Exception):
-    """An exact identity that holds for every valid input failed."""
 
 
 def _check_range(flag: str, value: int, low: int, high: int) -> None:
@@ -132,10 +106,7 @@ def _check_range(flag: str, value: int, low: int, high: int) -> None:
 def cmd_fixed_points(args):
     n = args.order
     _check_range("--order", n, 2, MAX_SYMPLECTIC_ORDER)
-    try:
-        count = solve_fixed_points_cyclic(n)
-    except ModelError as exc:  # the order is in range, so the solve itself is inconsistent
-        raise ConsistencyError(str(exc)) from exc
+    count = solve_fixed_points_cyclic(n)
     closed = fixed_points_closed_form(n)
     if count != closed:
         raise ConsistencyError(f"solver {count} != closed form {closed}")
@@ -152,7 +123,7 @@ def cmd_dim(args):
     if builtin:
         cls = BUILTIN_CLASSES[args.klass](model)
     else:
-        cls = EquivariantClass.from_json(_read_json(args.klass, "class"))
+        cls = EquivariantClass.from_json(_read_json(args.klass, "class", UsageError))
     try:
         pairing = euler_pairing(model, cls, cls)
     except ExactnessError as exc:
@@ -329,18 +300,16 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         payload, text = args.func(args)
-    except IdentityError as exc:  # before ModelError, its base class
+    except IdentityError as exc:  # an InputError too, so caught first
         print(
             f"model integrity failure: unit identity FAILED: value {exc.value}, residual {exc.value - 1}",
             file=sys.stderr,
         )
         return EXIT_MODEL
-    except (ConsistencyError, CrossCheckError, ExactnessError) as exc:
+    except (ConsistencyError, ExactnessError) as exc:  # before InputError: CrossCheckError is both
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (UsageError, ModelError, GroupError, SectorMismatchError, LatticeError, HilbertError,
-            ToyStackError, AmbientFieldError) as exc:
-        # bad argument values, out-of-range presets and malformed descriptors
+    except InputError as exc:  # bad argument values, out-of-range presets and malformed descriptors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps(payload, sort_keys=True) if args.json else text)

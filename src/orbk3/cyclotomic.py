@@ -30,6 +30,7 @@ unit identity (`inertia.validate_identity`) on the conjugates of one inverse per
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +39,7 @@ from math import gcd, lcm
 
 from .polyring import (
     Coeffs,
+    InputError,
     QuotientRing,
     QuotientRingElement,
     _EXACT,
@@ -122,7 +124,7 @@ class ExactnessError(ValueError):
         self.value = value
 
 
-class AmbientFieldError(ValueError):
+class AmbientFieldError(InputError):
     """Raised when root orders or field orders are incompatible."""
 
 
@@ -293,13 +295,29 @@ def sum_inverse_one_minus_cos(n: int) -> Fraction:
     return sum(inverse_one_minus_re(root_of_unity(m)).trace() for m in range(2, n + 1) if n % m == 0)
 
 
-# Digits of an untrusted integer: each part of a rational in `c[L]: ...` text here, and each
-# integer of a JSON document or integer list in `cli`.  Parsing is cheap, and the square of
-# such a value prints within Python's 4300-digit limit on int strings.
+# Digits of an untrusted integer: each part of a rational in `c[L]: ...` text, and each integer of
+# a JSON file (`_read_json`: `inertia.load_model`, class files) or of an argument in `cli`.  Parsing
+# is cheap, and the square of such a value prints within Python's 4300-digit limit on int strings.
 MAX_INT_DIGITS = 1000
 # A rational of the wire format: -?p or -?p/q, each part at most MAX_INT_DIGITS digits.
 _RATIONAL = rf"-?\d{{1,{MAX_INT_DIGITS}}}(?:/\d{{1,{MAX_INT_DIGITS}}})?"
 _TERM_RE = re.compile(rf"^({_RATIONAL})(?:\*z(?:\^(\d+))?)?$")
+
+
+def _bounded_int(text: str) -> int:
+    """int(text); ValueError beyond MAX_INT_DIGITS digits, before any conversion."""
+    if len(text.strip().lstrip("+-")) > MAX_INT_DIGITS:
+        raise ValueError(f"integer of more than {MAX_INT_DIGITS} digits")
+    return int(text)
+
+
+def _read_json(path: str, what: str, error: type[InputError]):
+    """The JSON document in a file; error("cannot read <what>: ...") if it cannot be read or decoded."""
+    try:
+        with open(path) as f:
+            return json.load(f, parse_int=_bounded_int)
+    except (OSError, RecursionError, ValueError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
 
 
 def format_cyclotomic(a: Cyclotomic) -> str:

@@ -17,10 +17,10 @@ from functools import cached_property
 from math import lcm
 
 from .cyclotomic import Cyclotomic, root_of_unity
-from .polyring import integer, integers
+from .polyring import InputError, integer, integers
 
 
-class GroupError(ValueError):
+class GroupError(InputError):
     pass
 
 

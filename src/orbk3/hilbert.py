@@ -19,14 +19,14 @@ from math import isqrt
 from .hrr import OrbifoldMukaiVector, _integer_pairings, orbifold_mukai_pairing
 from .inertia import K3GModel, preset_cyclic
 from .lattice import MukaiVector, integer_form
-from .polyring import integer, integers
+from .polyring import ConsistencyError, InputError, integer, integers
 
 
-class HilbertError(ValueError):
+class HilbertError(InputError):
     pass
 
 
-class CrossCheckError(HilbertError):
+class CrossCheckError(HilbertError, ConsistencyError):
     """Two independent dimension formulas disagree: an internal inconsistency."""
 
 

@@ -27,10 +27,10 @@ from fractions import Fraction
 from .cyclotomic import Cyclotomic, format_cyclotomic, galois_sum, parse_cyclotomic
 from .inertia import K3GModel
 from .lattice import MukaiVector, mukai_pairing
-from .polyring import _numerators
+from .polyring import InputError, _numerators
 
 
-class SectorMismatchError(ValueError):
+class SectorMismatchError(InputError):
     pass
 
 

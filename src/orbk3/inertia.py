@@ -12,19 +12,18 @@ against the exact unit identity
 
 from __future__ import annotations
 
-import json
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, ExactnessError, _common_order, _prime_factors, galois_sum
+from .cyclotomic import Cyclotomic, ExactnessError, _common_order, _prime_factors, _read_json, galois_sum
 from .cyclotomic import inverse_one_minus_re, root_of_unity
 from .groups import ConjugacyClass, FiniteGroup, conjugacy_classes, cyclic_group
 from .lattice import PicardLattice
-from .polyring import integer
+from .polyring import ConsistencyError, InputError, integer
 
 
-class ModelError(ValueError):
+class ModelError(InputError):
     pass
 
 
@@ -159,8 +158,8 @@ class K3GModel:
 
 
 def load_model(path: str, validate: bool = True) -> K3GModel:
-    with open(path) as f:
-        return K3GModel.from_json(json.load(f), validate=validate)
+    """The model in a JSON file; ModelError if the file cannot be read or decoded (`_read_json`)."""
+    return K3GModel.from_json(_read_json(path, "model", ModelError), validate=validate)
 
 
 def trivial_model() -> K3GModel:
@@ -255,7 +254,8 @@ def solve_fixed_points_cyclic(n: int) -> int:
     g^k.  The g^k of order m carry the Galois conjugates of zeta_m, so their
     terms sum to f_m T(m), T(m) = Tr_{Q(zeta_m)/Q} 1/(1 - Re zeta_m): one
     inverse per divisor m.  The identity for g^(n/m), of order m, reads
-    sum_{d | m, d > 1} f_d T(d) = 4(m - 1); the divisors are solved smallest first.
+    sum_{d | m, d > 1} f_d T(d) = 4(m - 1); the divisors are solved smallest first.  An order
+    outside 2..8 raises ModelError, a count that is not a positive integer ConsistencyError.
     """
     if not (2 <= integer(n) <= MAX_SYMPLECTIC_ORDER):
         raise ModelError(f"solver requires 2 <= n <= {MAX_SYMPLECTIC_ORDER}")
@@ -265,6 +265,6 @@ def solve_fixed_points_cyclic(n: int) -> int:
         known = sum(t * f for d, (t, f) in solved.items() if m % d == 0)
         count = (4 * (m - 1) - known) / weight
         if count.denominator != 1 or count <= 0:
-            raise ModelError(f"fixed point solve for n={m} gave non-integer {count}")
+            raise ConsistencyError(f"fixed point solve for n={m} gave non-integer {count}")
         solved[m] = weight, int(count)
     return solved[n][1]

@@ -14,12 +14,12 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
-from .polyring import Coeffs, integer, integers, poly
+from .polyring import Coeffs, InputError, integer, integers, poly
 
 INFINITE_SLOPE = "infinity"
 
 
-class LatticeError(ValueError):
+class LatticeError(InputError):
     pass
 
 

@@ -12,7 +12,10 @@ for a monic modulus, each row from the one before, and `poly_inverse_mod`
 inverts on the same integer rows.  `integer` and `integers` are the one integer
 coercion of every loader, and `poly` the one exact-coefficient coercion: a
 coefficient is an int or a Fraction; a bool, float, str or other type raises
-TypeError.
+TypeError.  The error classes of the library derive from two bases here, so the
+type says what failed: `InputError`, an argument or descriptor the library does
+not accept, or `ConsistencyError`, a failed identity that holds for every valid
+input.  Only `cyclotomic.ExactnessError`, a value that is not rational, is neither.
 """
 
 from __future__ import annotations
@@ -23,6 +26,15 @@ from operator import index
 from typing import Iterable, Sequence
 
 Coeffs = tuple[Fraction, ...]
+
+
+class InputError(ValueError):
+    """An argument or descriptor that the library cannot accept."""
+
+
+class ConsistencyError(Exception):
+    """An exact identity that holds for every valid input failed."""
+
 
 _EXACT = frozenset((int, Fraction))  # matched by exact type, so bool, a subclass of int, is not
 

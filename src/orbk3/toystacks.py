@@ -19,11 +19,11 @@ from operator import mul
 
 from .cyclotomic import Cyclotomic, galois_sum
 from .groups import char_inner_product
-from .polyring import QuotientRing, QuotientRingElement, integer, integers, monomial
+from .polyring import InputError, QuotientRing, QuotientRingElement, integer, integers, monomial
 from .polyring import _numerators, poly, poly_fold, poly_mul
 
 
-class ToyStackError(ValueError):
+class ToyStackError(InputError):
     pass
 
 

@@ -2,9 +2,11 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -21,7 +23,9 @@ from orbk3 import cli, inertia
 from orbk3.cli import main
 from orbk3.cyclotomic import ExactnessError
 from orbk3.hrr import BUILTIN_CLASSES, tangent_bundle_class
-from orbk3.inertia import MAX_SYMPLECTIC_ORDER, SectorEntry, preset_cyclic, K3GModel
+from orbk3.inertia import MAX_SYMPLECTIC_ORDER, IdentityError, K3GModel, ModelError, SectorEntry
+from orbk3.inertia import load_model, preset_cyclic
+from orbk3.polyring import ConsistencyError, InputError
 from orbk3.toystacks import GroupRingElement
 
 
@@ -253,13 +257,39 @@ def test_wps_limits_are_named(capsys, tmp_path, case):
     assert (code, err) == (2, "error: at most 8 weights with sum at most 64\n")
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000], ids=["not-utf8", "too-deep"])
+_LONG_ORDER_MODEL = preset_cyclic(2).to_json()
+_LONG_ORDER_MODEL["group"]["order"] = int("9" * 1001)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[" * 100000, json.dumps(_LONG_ORDER_MODEL).encode()],
+    ids=["not-utf8", "too-deep", "order-1001-digits"],
+)
 def test_undecodable_model_file_exits_2(capsys, tmp_path, content):
     path = tmp_path / "model.json"
     path.write_bytes(content)
     code, _, err = run(capsys, "dim", "--model", str(path), "--class", "OX")
     assert code == 2
     assert err.startswith("error: cannot read model")
+    # `dim --model` reads the file through `load_model`, so both stop at the same ModelError
+    with pytest.raises(ModelError, match="^cannot read model: ") as info:
+        load_model(str(path))
+    assert isinstance(info.value.__cause__, (RecursionError, ValueError))
+    assert err == f"error: {info.value}\n"
+    if content[:1] == b"{":
+        assert str(info.value) == "cannot read model: integer of more than 1000 digits"
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case, value in MALFORMED_INPUTS.items() if isinstance(value, tuple) and value[0] == "--model")
+)
+def test_malformed_model_files_raise_input_error_on_load(capsys, tmp_path, case):
+    # the library's loader rejects each model file that `dim --model` rejects
+    argv = _malformed_argv(MALFORMED_INPUTS[case], tmp_path)
+    assert run(capsys, *argv)[0] == 2
+    with pytest.raises(InputError):
+        load_model(argv[2])
 
 
 def test_dimension_cross_check_failure_exits_4(capsys, monkeypatch):
@@ -661,3 +691,63 @@ def test_no_state_leaks_between_calls(capsys, tmp_path, case):
         fresh.append(run(capsys, *argv))
     assert shared == fresh
     assert [code for code, _, _ in shared] == [code for _, code in sequence]
+
+
+def _error_classes() -> dict:
+    """module.Class -> class: every exception class that a module of orbk3 defines."""
+    classes = {}
+    for info in pkgutil.iter_modules(orbk3.__path__):
+        module = importlib.import_module(f"orbk3.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
+                classes[f"{info.name}.{value.__name__}"] = value
+    return classes
+
+
+def test_every_error_class_derives_from_a_mapped_base():
+    # `main` maps IdentityError, the two bases and ExactnessError to exit codes 3, 4 and 2, so
+    # an error class that derives from none of them would escape it as a traceback
+    mapped = (InputError, ConsistencyError, ExactnessError)
+    assert {name for name, cls in _error_classes().items() if not issubclass(cls, mapped)} == set()
+
+
+# The exit code and stderr line of each error class of the library, raised by a subcommand.
+ERROR_EXITS = {
+    "cli.UsageError": 2,
+    "cyclotomic.AmbientFieldError": 2,
+    "cyclotomic.ExactnessError": 4,
+    "groups.GroupError": 2,
+    "hilbert.CrossCheckError": 4,
+    "hilbert.HilbertError": 2,
+    "hrr.SectorMismatchError": 2,
+    "inertia.IdentityError": 3,
+    "inertia.ModelError": 2,
+    "lattice.LatticeError": 2,
+    "polyring.ConsistencyError": 4,
+    "polyring.InputError": 2,
+    "toystacks.ToyStackError": 2,
+}
+ERROR_LINES = {
+    2: "error: raised {}\n",
+    3: "model integrity failure: unit identity FAILED: value 7/8, residual -1/8\n",
+    4: "internal consistency failure: raised {}\n",
+}
+
+
+def test_error_exits_cover_every_error_class():
+    assert set(ERROR_EXITS) == set(_error_classes())
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+@pytest.mark.parametrize("as_json", [False, True])
+def test_exception_type_alone_sets_the_exit_code(capsys, monkeypatch, name, as_json):
+    cls = _error_classes()[name]
+    exc = cls(Fraction(7, 8)) if issubclass(cls, IdentityError) else cls(f"raised {name}")
+
+    def raising(n, degree):
+        raise exc
+
+    monkeypatch.setattr("orbk3.cli.bg_moduli_count", raising)
+    code, out, err = run(capsys, "bg-count", "--n", "2", "--degree", "3", *(["--json"] if as_json else []))
+    assert (code, out) == (ERROR_EXITS[name], "")
+    assert err == ERROR_LINES[code].format(name)

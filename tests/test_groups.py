@@ -282,6 +282,13 @@ def test_group_json_round_trip():
         FiniteGroup.from_json(bad)
 
 
+def test_reprs_name_the_order_and_the_values():
+    g = cyclic_group(3)
+    assert repr(g) == "FiniteGroup(order=3)"
+    assert repr(abelian_character_table(g)[1]) == "Character(c[3]: 1, c[3]: 1*z, c[3]: -1 + -1*z)"
+    assert repr(Character(symmetric_group_s3(), [2, -1, 0])) == "Character(c[1]: 2, c[1]: -1, c[1]: 0)"
+
+
 def test_nonassociative_loop_is_rejected():
     # a Latin square with identity 0 and two-sided inverses, but (1*2)*3 != 1*(2*3)
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]

@@ -33,6 +33,7 @@ from orbk3.inertia import (
     trivial_model,
     validate_identity,
 )
+from orbk3.polyring import ConsistencyError
 
 
 def test_table_matches_closed_form():
@@ -50,6 +51,14 @@ def test_solver_rejects_out_of_range():
             solve_fixed_points_cyclic(n)
     with pytest.raises(ModelError):
         preset_cyclic(9)
+
+
+def test_failed_solve_is_a_consistency_error(monkeypatch):
+    # an order in range whose solve is not integral: the solver, not its argument, is at fault
+    monkeypatch.setattr(inertia, "inverse_one_minus_re", lambda lam: inverse_one_minus_re(lam) * Fraction(3, 2))
+    with pytest.raises(ConsistencyError, match="^fixed point solve for n=2 gave non-integer 16/3$") as info:
+        solve_fixed_points_cyclic(4)
+    assert not isinstance(info.value, ModelError)
 
 
 def test_identity_all_presets():

@@ -280,6 +280,11 @@ def test_element_arithmetic():
     assert (1 + i).coeffs == (1, 1)  # 1 + x, which is 3 at x = 2
 
 
+def test_ring_repr_names_the_modulus():
+    assert repr(QuotientRing(poly([1, 0, 1]))) == "QuotientRing(1 + 1*x^2)"
+    assert repr(GroupRingElement(4, ()).ring) == "QuotientRing(-1 + 1*x^4)"
+
+
 def test_residue_is_padded_to_the_modulus_degree():
     ring = QuotientRing(poly([-1, 0, 0, 1]))  # x^3 - 1
     assert ring.reduce([3]).coeffs == (3, 0, 0)

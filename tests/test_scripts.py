@@ -1,11 +1,15 @@
 """The scripts under scripts/ run to completion against the library in src/."""
 
 import os
+import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from orbk3 import inertia
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +34,16 @@ def test_script_runs(argv):
     if argv[0] == "fixed_point_table.py":
         assert "MISMATCH" not in proc.stdout
         assert proc.stdout.count("(ok)") == 7
+
+
+def test_fixed_point_table_reports_a_failed_solve(capsys, monkeypatch):
+    # every sector weight 3/2 times too large: the solves for n = 2, 4, 5, 6 and 8 are not
+    # integral, those for 3 and 7 give wrong counts, and no preset's unit identity is 1
+    inverse = inertia.inverse_one_minus_re
+    monkeypatch.setattr(inertia, "inverse_one_minus_re", lambda lam: inverse(lam) * Fraction(3, 2))
+    assert runpy.run_path(str(ROOT / "scripts" / "fixed_point_table.py"))["main"]() == 1
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[1:]
+    assert len(rows) == 7 and all(row.endswith("(MISMATCH)") for row in rows)
+    assert [row.split()[0] for row in rows if row.split()[1] == "failed"] == ["2", "4", "5", "6", "8"]
+    assert err == ""
